@@ -1002,13 +1002,25 @@ func (s *Service) RFD(resource int) ([]WeightedTag, float64, uint64, error) {
 // owner node via RFD), excluding resource `exclude` (negative = none).
 // Per-node answers merged under the (score desc, id asc) comparator are
 // bit-identical to a single-node TopK over the union state — see
-// internal/ir/cluster.go for the exactness argument.
+// internal/ir/cluster.go for the exactness argument. The query must
+// have RFD's shape: non-negative tags in strictly ascending order, each
+// with a positive count (the pruning bounds assume positive weights).
 func (s *Service) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k int) ([]Scored, uint64, error) {
 	if k <= 0 {
 		return nil, 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
 	}
 	if qNorm2 < 0 {
 		return nil, 0, fmt.Errorf("incentivetag: negative query norm %g", qNorm2)
+	}
+	for i, wt := range query {
+		switch {
+		case wt.Tag < 0:
+			return nil, 0, fmt.Errorf("incentivetag: negative query tag %d", wt.Tag)
+		case i > 0 && wt.Tag <= query[i-1].Tag:
+			return nil, 0, fmt.Errorf("incentivetag: query tags not strictly ascending: %d after %d", wt.Tag, query[i-1].Tag)
+		case wt.Count <= 0:
+			return nil, 0, fmt.Errorf("incentivetag: query tag %d has non-positive count %d", wt.Tag, wt.Count)
+		}
 	}
 	res, epoch := s.idx.TopKWeighted(query, qNorm2, exclude, k, s.owned)
 	return res, epoch, nil

@@ -175,7 +175,8 @@
 // owns (ServiceOptions.Owned), and the gateway proxies ingest to each
 // post's owner while scatter-gathering /topk and /search: the
 // subject's live count vector is fetched from its owner, broadcast as
-// an explicit weighted query, and the per-node partial rankings are
+// an explicit weighted query, each node ranks its owned resources with
+// the same pruned executor, and the per-node partial rankings are
 // merged bit-identically to a single-node engine fed the same posts
 // (integer count sums are order-independent in float64; the score
 // expressions are shared verbatim). Every merged response carries

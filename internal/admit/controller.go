@@ -66,6 +66,17 @@ type Result struct {
 	RetryAfter time.Duration
 }
 
+// RetryAfterSeconds renders the backoff as a Retry-After header value:
+// whole seconds, rounded up, at least 1 (0 would mean "now", which is
+// exactly wrong for a shed request).
+func (r Result) RetryAfterSeconds() int {
+	secs := int((r.RetryAfter + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	return secs
+}
+
 // Config assembles a Controller. The zero value admits everything
 // (no rate limit, no concurrency limit) while still tracking gauges
 // and counters.

@@ -274,3 +274,20 @@ func TestChurnRace(t *testing.T) {
 		t.Fatalf("bulk timed out %d times — bulk must never queue", st.Bulk.TimedOut)
 	}
 }
+
+func TestRetryAfterSecondsRoundsUpToAtLeastOne(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{0, 1},
+		{time.Millisecond, 1},
+		{time.Second, 1},
+		{time.Second + time.Nanosecond, 2},
+		{2500 * time.Millisecond, 3},
+	} {
+		if got := (Result{Outcome: Shed, RetryAfter: tc.d}).RetryAfterSeconds(); got != tc.want {
+			t.Fatalf("RetryAfterSeconds(%v) = %d, want %d", tc.d, got, tc.want)
+		}
+	}
+}

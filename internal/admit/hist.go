@@ -3,6 +3,7 @@ package admit
 import (
 	"math"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -79,6 +80,21 @@ func (h *Histogram) Cumulative(buf *[HistBuckets + 1]uint64) uint64 {
 	}
 	return cum
 }
+
+// PromQuantiles are the per-route quantile gauge series node and
+// gateway export alongside the histogram. p50/p90/p99 are the SLO
+// readouts the overload suite and dashboards key on.
+var PromQuantiles = []struct {
+	Label string
+	Q     float64
+}{
+	{"0.5", 0.50},
+	{"0.9", 0.90},
+	{"0.99", 0.99},
+}
+
+// PromFloat renders a float the way Prometheus text exposition expects.
+func PromFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Quantile returns an upper-bound estimate of quantile q in seconds:
 // the upper bound of the first bucket whose cumulative count reaches

@@ -391,6 +391,12 @@ func TestGatewayBitIdenticalAcrossNodeRestart(t *testing.T) {
 		h.posted++
 	}
 
+	// Let the prober see the node down first: otherwise WaitReady below
+	// can return on the stale "up" from before the kill, and a probe
+	// that failed during the outage lands after the restart and drops
+	// the node out of the next scatter.
+	h.waitDegraded()
+
 	// Resurrect on the same address: recovery replays the WAL, the
 	// prober flips the node back up, and the full property must hold
 	// again — including the posts from before the crash.

@@ -31,11 +31,7 @@ func (g *Gateway) instrument(route string, class admit.Class, h http.HandlerFunc
 		res := g.ctl.Admit(r.Context(), class)
 		if res.Outcome != admit.Admitted {
 			ri.outcomes[res.Outcome].Add(1)
-			secs := int((res.RetryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			w.Header().Set("Retry-After", strconv.Itoa(res.RetryAfterSeconds()))
 			writeError(w, http.StatusTooManyRequests,
 				"gateway %s overloaded (%s %s): retry later", route, class, res.Outcome)
 			return
@@ -49,17 +45,6 @@ func (g *Gateway) instrument(route string, class admit.Class, h http.HandlerFunc
 		ri.hist.Observe(time.Since(start))
 	}
 }
-
-var promQuantiles = []struct {
-	label string
-	q     float64
-}{
-	{"0.5", 0.50},
-	{"0.9", 0.90},
-	{"0.99", 0.99},
-}
-
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // handlePromMetrics is the gateway's GET /metrics/prom: Prometheus text
 // exposition (0.0.4) of the gateway's own admission/latency state plus
@@ -84,19 +69,19 @@ func (g *Gateway) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		total := ri.hist.Cumulative(&buf)
 		for i := 0; i < admit.HistBuckets; i++ {
 			fmt.Fprintf(&b, "taggate_request_seconds_bucket{route=%q,le=%q} %d\n",
-				ri.route, promFloat(admit.BucketBound(i)), buf[i])
+				ri.route, admit.PromFloat(admit.BucketBound(i)), buf[i])
 		}
 		fmt.Fprintf(&b, "taggate_request_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", ri.route, total)
-		fmt.Fprintf(&b, "taggate_request_seconds_sum{route=%q} %s\n", ri.route, promFloat(ri.hist.Sum()))
+		fmt.Fprintf(&b, "taggate_request_seconds_sum{route=%q} %s\n", ri.route, admit.PromFloat(ri.hist.Sum()))
 		fmt.Fprintf(&b, "taggate_request_seconds_count{route=%q} %d\n", ri.route, total)
 	}
 
 	b.WriteString("# HELP taggate_request_quantile_seconds Upper-bound latency quantiles per gateway route.\n")
 	b.WriteString("# TYPE taggate_request_quantile_seconds gauge\n")
 	for _, ri := range g.insts {
-		for _, pq := range promQuantiles {
+		for _, pq := range admit.PromQuantiles {
 			fmt.Fprintf(&b, "taggate_request_quantile_seconds{route=%q,q=%q} %s\n",
-				ri.route, pq.label, promFloat(ri.hist.Quantile(pq.q)))
+				ri.route, pq.Label, admit.PromFloat(ri.hist.Quantile(pq.Q)))
 		}
 	}
 
@@ -127,9 +112,9 @@ func (g *Gateway) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("# HELP taggate_backend_request_quantile_seconds Upper-bound proxy latency quantiles per backend.\n")
 	b.WriteString("# TYPE taggate_backend_request_quantile_seconds gauge\n")
 	for _, be := range g.backends {
-		for _, pq := range promQuantiles {
+		for _, pq := range admit.PromQuantiles {
 			fmt.Fprintf(&b, "taggate_backend_request_quantile_seconds{node=%q,q=%q} %s\n",
-				be.name, pq.label, promFloat(be.hist.Quantile(pq.q)))
+				be.name, pq.Label, admit.PromFloat(be.hist.Quantile(pq.Q)))
 		}
 	}
 

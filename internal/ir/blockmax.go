@@ -61,6 +61,11 @@
 // threshold are never skipped. Pruning activates only once the heap
 // holds k entries, so the candidates-short-of-k regime (including
 // TopK's zero-padding) degenerates to the exhaustive behaviour.
+//
+// An ownership predicate (cluster legs, see cluster.go) only narrows
+// which candidates reach the selector. Every bound above holds for
+// every resource, owned or not, and a threshold built from owned
+// candidates alone can only sit lower, so every cut stays conservative.
 package ir
 
 import (
@@ -368,6 +373,7 @@ func (ix *OnlineIndex) getScratch() *queryScratch {
 		clear(sc.cells)
 		sc.gen = 1
 	}
+	sc.promote = sc.promote[:0]
 	return sc
 }
 
@@ -376,12 +382,15 @@ func (ix *OnlineIndex) putScratch(sc *queryScratch) { ix.scratchPool.Put(sc) }
 // prunedQuery carries one query's immutable facts across the per-shard
 // executors.
 type prunedQuery struct {
-	subject  int // global id to exclude from candidates; -1 for Search
+	exclude  int // global id never ranked (the TopK subject); -1 for none
 	tags     []tags.Tag
 	weights  []float64 // parallel to tags: the subject's counts (nil for Search)
 	subjNorm float64   // TopK: ‖subject‖ (hoisted once)
 	qNorm2   float64   // Search: |query| after dedup
 	search   bool
+	// owned restricts the ranking to the resources it admits (a cluster
+	// node's partition); nil admits every resource.
+	owned func(int) bool
 }
 
 // pruneStats accumulates one query's pruning counters locally; they are
@@ -404,7 +413,6 @@ type pruneStats struct {
 // zero-similarity padding of TopK semantics (Search never pads).
 func (ix *OnlineIndex) runPruned(pq *prunedQuery, k int, sc *queryScratch, pad bool) []Scored {
 	sel := topKSelector{k: k, h: sc.heap[:0]}
-	sc.promote = sc.promote[:0]
 	var ps pruneStats
 	qnorm := pq.subjNorm
 	if pq.search {
@@ -464,9 +472,10 @@ func (ix *OnlineIndex) runPruned(pq *prunedQuery, k int, sc *queryScratch, pad b
 	if pad && sel.len() < k {
 		// Short of k candidates means the heap never filled, so nothing
 		// was ever pruned: every overlapping candidate is in the visited
-		// set, exactly the exclusion set the exhaustive padding uses.
+		// set, exactly the exclusion set the exhaustive padding uses. A
+		// cluster leg pads with the resources it owns only.
 		for id := 0; id < ix.n && sel.len() < k; id++ {
-			if id == pq.subject || sc.cells[id].gen == sc.gen {
+			if id == pq.exclude || sc.cells[id].gen == sc.gen || (pq.owned != nil && !pq.owned(id)) {
 				continue
 			}
 			sel.push(id, 0)
@@ -497,11 +506,11 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 	th, full := sel.threshold()
 	thDiv := th / boundSlack
 
-	// The subject is excluded during the scan; it can only appear in the
-	// shard that owns it, so the other shards run the checkless loop.
+	// The excluded id is skipped during the scan; it can only appear in
+	// the shard that holds it, so the other shards run the checkless loop.
 	subj := int32(-1)
-	if pq.subject >= 0 && pq.subject%len(ix.shards) == s {
-		subj = int32(pq.subject)
+	if pq.exclude >= 0 && pq.exclude%len(ix.shards) == s {
+		subj = int32(pq.exclude)
 	}
 
 	// Phase 1 — accumulate. missing collects the per-candidate mass any
@@ -691,6 +700,9 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 		a := cells[id].acc
 		if gate > 0 && a*a*impactSlack < gate*n2 {
 			continue
+		}
+		if pq.owned != nil && !pq.owned(id) {
+			continue // scored on its owner node; never promoted here
 		}
 		// Exact rescore: every dot below is a sum of products of integers
 		// far below 2^53 — exact, order-independent, and therefore

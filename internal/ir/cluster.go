@@ -10,23 +10,37 @@
 // node, is fetched once via RFDEntries, and is shipped to every node as
 // an explicit integer-weighted query.
 //
+// Node legs run the same block-max pruned executor as single-node
+// queries (blockmax.go), with the ownership predicate as one more
+// field of the query: candidates a node does not own never reach its
+// selector, and its zero-padding skips them too.
+//
 // # Why the merged answer is bit-identical to a single node
 //
 // Every quantity entering a score is an exact small integer in float64:
 // posting counts, query weights (the subject's counts), and the dot
 // products (sums of integer products stay exactly representable, so
 // float addition is associative here and per-node partial accumulation
-// is exact). The score expression is copied verbatim from the
-// single-node paths — dot / (subjNorm * √norm2) with the clamp to 1 for
-// TopK (rankTopK), dot / √(qNorm2·norm2) for Search (SearchExhaustive)
-// — so a candidate's score computed on its owner node has the same bits
-// the single-node engine would produce. Ranking is a strict total order
-// (score desc, id asc; ids unique), so merging per-node top-k lists
-// under the same comparator and truncating to k reproduces the global
-// top-k exactly. Zero-padding composes the same way: each node pads its
-// own owned, non-overlapping resources smallest-id-first, so the union
-// of per-node lists always contains the k globally smallest padding
-// candidates the single-node rankTopK would have chosen.
+// is exact). A leg scores with the single-node expressions — dot /
+// (subjNorm·√norm2) with the clamp to 1 for TopK, dot / √(qNorm2·norm2)
+// for Search — so a candidate's score computed on its owner node has
+// the bits the single-node engine would produce.
+//
+// Pruning keeps each leg exact. Every block, tag and suffix bound is an
+// upper bound for every resource, owned ones included. The kth-score
+// threshold is built from owned candidates only, so it can only sit
+// lower than a whole-index threshold, and every cut it drives stays
+// conservative: the leg returns exactly its owned resources' true
+// top-k. Zero-padding runs only when the heap never filled, and then
+// nothing was pruned, so the visited set holds every overlapping
+// candidate — the same exclusion set the exhaustive padding builds.
+//
+// Ranking is a strict total order (score desc, id asc; ids unique), so
+// merging per-node top-k lists under the same comparator and truncating
+// to k reproduces the global top-k exactly. Zero-padding composes the
+// same way: each node pads its own owned, non-overlapping resources
+// smallest-id-first, so the union of per-node lists always contains the
+// k globally smallest padding candidates a single node would choose.
 package ir
 
 import (
@@ -79,130 +93,56 @@ func (ix *OnlineIndex) RFDEntries(id int) (entries []WeightedTag, norm2 float64,
 // TopKWeighted runs a top-k similarity query against an explicit
 // integer-weighted query vector, restricted to resources the owned
 // predicate admits (nil admits all), excluding resource `exclude` (the
-// subject, which must never rank against itself; pass a negative id to
-// exclude nothing). qNorm2 is the query vector's exact squared norm (the
-// subject's Norm2 on its owner node).
+// subject, which must never rank against itself; an id outside the
+// index excludes nothing). qNorm2 is the query vector's exact squared
+// norm (the subject's Norm2 on its owner node). Weights must be
+// positive: the pruning bounds assume it.
 //
-// The execution mirrors TopKExhaustive term for term: identical dot
-// accumulation, identical score expression, identical selector — so for
-// owned == nil, query == subject's own rfd and exclude == subject it is
-// bit-identical to TopK at the same epoch (asserted by tests), and a
-// cluster's per-node partitions merge into exactly the single-node
-// ranking.
+// It is TopK's pruned execution with the query vector supplied from
+// outside, so for owned == nil, query == subject's own rfd and exclude
+// == subject it is bit-identical to TopK at the same epoch (asserted by
+// tests), and a cluster's per-node partitions merge into exactly the
+// single-node ranking.
 func (ix *OnlineIndex) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k int, owned func(int) bool) ([]Scored, uint64) {
 	ix.topkQueries.Add(1)
 	if k <= 0 {
 		return nil, ix.epoch.Load()
 	}
-	ix.rlockAll()
-	defer ix.runlockAll()
-	epoch := ix.epoch.Load()
-	subjNorm := math.Sqrt(qNorm2)
-	if subjNorm == 0 || len(query) == 0 {
-		// Zero-norm subject: straight to zero-similarity padding over the
-		// owned universe, exactly like the single-node zero-norm path.
-		return rankTopKOwned(ix.n, exclude, k, 0, nil, ix.norm2At, owned), epoch
+	if exclude >= ix.n {
+		exclude = -1
 	}
-	dots := make(map[int32]float64)
-	for _, wt := range query {
-		sc := float64(wt.Count)
-		for _, sh := range ix.shards {
-			pl := sh.postings[wt.Tag]
-			if pl == nil {
-				continue
+	return ix.execute(k, true, func(sc *queryScratch) prunedQuery {
+		pq := prunedQuery{exclude: exclude, owned: owned}
+		// A zero-norm (or empty) query only pads, like a zero-norm TopK
+		// subject.
+		if subjNorm := math.Sqrt(qNorm2); subjNorm > 0 {
+			sc.support, sc.weights = sc.support[:0], sc.weights[:0]
+			for _, wt := range query {
+				sc.support = append(sc.support, wt.Tag)
+				sc.weights = append(sc.weights, float64(wt.Count))
 			}
-			for _, p := range pl.entries {
-				if int(p.id) == exclude || (owned != nil && !owned(int(p.id))) {
-					continue
-				}
-				dots[p.id] += sc * float64(p.count)
-			}
+			pq.tags, pq.weights, pq.subjNorm = sc.support, sc.weights, subjNorm
 		}
-	}
-	return rankTopKOwned(ix.n, exclude, k, subjNorm, dots, ix.norm2At, owned), epoch
-}
-
-// rankTopKOwned is rankTopK with an ownership filter on the padding
-// universe (the candidate dots are already owner-filtered by the
-// caller). The scoring and padding logic are copied from rankTopK so the
-// two can never diverge in float behaviour; keep them in lockstep.
-func rankTopKOwned(n, subject, k int, subjNorm float64, dots map[int32]float64, norm2 func(int32) float64, owned func(int) bool) []Scored {
-	sel := newTopKSelector(k)
-	if subjNorm > 0 {
-		for id, dot := range dots {
-			n2 := norm2(id)
-			if n2 == 0 {
-				continue
-			}
-			s := dot / (subjNorm * math.Sqrt(n2))
-			if s > 1 {
-				s = 1
-			}
-			sel.push(int(id), s)
-		}
-	}
-	if sel.len() < k {
-		present := make(map[int]bool, sel.len())
-		for _, s := range sel.h {
-			present[s.ID] = true
-		}
-		for id := 0; id < n && sel.len() < k; id++ {
-			if id == subject || present[id] || (owned != nil && !owned(id)) {
-				continue
-			}
-			if _, overlapped := dots[int32(id)]; overlapped {
-				continue
-			}
-			sel.push(id, 0)
-		}
-	}
-	return sel.results()
+		return pq
+	})
 }
 
 // SearchOwned is Search restricted to resources the owned predicate
-// admits (nil admits all): the node-side half of a scatter-gather
-// /search. It mirrors SearchExhaustive — which is bit-identical to the
-// pruned Search — so per-node answers merge into exactly the single-node
-// ranking under the (score desc, id asc) comparator.
+// admits (nil admits all, which is Search itself): the node-side half
+// of a scatter-gather /search. Per-node answers merge into exactly the
+// single-node ranking under the (score desc, id asc) comparator.
 func (ix *OnlineIndex) SearchOwned(query tags.Post, k int, owned func(int) bool) ([]Scored, uint64) {
 	ix.searchQueries.Add(1)
 	query = normalizeQuery(query)
 	if k <= 0 || len(query) == 0 || ix.n == 0 {
 		return nil, ix.epoch.Load()
 	}
-	ix.rlockAll()
-	defer ix.runlockAll()
-	epoch := ix.epoch.Load()
-	dots := make(map[int32]float64)
-	for _, t := range query {
-		for _, sh := range ix.shards {
-			pl := sh.postings[t]
-			if pl == nil {
-				continue
-			}
-			for _, p := range pl.entries {
-				if owned != nil && !owned(int(p.id)) {
-					continue
-				}
-				dots[p.id] += float64(p.count)
-			}
-		}
-	}
-	qNorm2 := float64(len(query))
-	sel := newTopKSelector(k)
-	for id, dot := range dots {
-		if dot == 0 {
-			continue
-		}
-		n2 := ix.norm2[id]
-		if n2 == 0 {
-			continue
-		}
-		s := dot / math.Sqrt(qNorm2*n2)
-		if s > 1 {
-			s = 1
-		}
-		sel.push(int(id), s)
-	}
-	return sel.results(), epoch
+	return ix.execute(k, false, func(*queryScratch) prunedQuery {
+		// The query vector's squared norm is |query| exactly (unit counts
+		// over distinct tags). The score expression mirrors
+		// sparse.Counts.Cosine term for term (single sqrt of the norm
+		// product, same clamping), so a Search score is bit-identical to
+		// Cosine against a count vector holding the query.
+		return prunedQuery{exclude: -1, tags: query, qNorm2: float64(len(query)), search: true, owned: owned}
+	})
 }

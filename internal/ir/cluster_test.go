@@ -165,6 +165,62 @@ func TestClusterPartitionMergesBitIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	// A Zipf corpus large and skewed enough that every leg prunes, with
+	// cold resources on every node: merged legs must still match the
+	// exhaustive oracles on one index that absorbed every post.
+	t.Run("zipf", func(t *testing.T) {
+		const n, dim, nodes = 2000, 300, 3
+		model, rng, z := zipfModel(44, n, dim, 6)
+		owner := func(id int) int { return int((int64(id)*2654435761 + 17) % nodes) }
+		ownedBy := func(node int) func(int) bool {
+			return func(id int) bool { return owner(id) == node }
+		}
+		reference := NewOnlineIndex(cloneAll(model), 8)
+		shard := make([]*OnlineIndex, nodes)
+		for j := range shard {
+			shard[j] = NewOnlineIndex(cloneAll(model), 2+3*j)
+		}
+		for step := 0; step < 3000; step++ {
+			id := rng.Intn(n)
+			p := zipfPost(rng, z, dim)
+			reference.Apply(id, p)
+			shard[owner(id)].Apply(id, p)
+		}
+		for trial := 0; trial < 120; trial++ {
+			if trial%30 == 0 {
+				for _, ix := range shard {
+					evictRandom(rng, ix, n)
+				}
+			}
+			subject := rng.Intn(n)
+			entries, norm2, _, _ := shard[owner(subject)].RFDEntries(subject)
+			for _, k := range []int{1, 10, 40} {
+				lists := make([][]Scored, nodes)
+				for j := range shard {
+					lists[j], _ = shard[j].TopKWeighted(entries, norm2, subject, k, ownedBy(j))
+				}
+				want, _ := reference.TopKExhaustive(subject, k)
+				assertIdentical(t, tSprintf("zipf subject %d k=%d", subject, k), mergeScored(lists, k), want)
+			}
+			q := zipfPost(rng, z, dim)
+			k := 1 + rng.Intn(20)
+			lists := make([][]Scored, nodes)
+			for j := range shard {
+				lists[j], _ = shard[j].SearchOwned(q, k, ownedBy(j))
+			}
+			want, _ := reference.SearchExhaustive(q, k)
+			assertIdentical(t, tSprintf("zipf search %v k=%d", q, k), mergeScored(lists, k), want)
+		}
+		for j, ix := range shard {
+			st := ix.Stats()
+			if st.BlocksSkipped == 0 || st.TagsDeferred == 0 || st.VecEvictions == 0 {
+				t.Fatalf("node %d legs did not prune over a tiered index: %+v", j, st)
+			}
+			t.Logf("node %d: %d blocks skipped, %d tags deferred, %d candidates scored, %d rehydrations",
+				j, st.BlocksSkipped, st.TagsDeferred, st.CandidatesScored, st.VecRehydrations)
+		}
+	})
 }
 
 // RFDEntries round-trips the exact live vector: entries in ascending

@@ -8,10 +8,11 @@
 // posting lists and the corpus is never rescanned after the one-time
 // seed at construction.
 //
-// Since the block-max rework (see blockmax.go) the serving TopK/Search
-// paths additionally prune: posting lists are impact-ordered and
-// blocked, and whole blocks/tags whose score upper bound cannot beat
-// the current kth answer are skipped outright — bit-identical to the
+// Since the block-max rework (see blockmax.go) every serving query —
+// TopK, Search and the cluster legs TopKWeighted/SearchOwned — runs
+// one pruned executor: posting lists are impact-ordered and blocked,
+// and whole blocks/tags whose score upper bound cannot beat the
+// current kth answer are skipped outright — bit-identical to the
 // exhaustive paths, which remain available as TopKExhaustive and
 // SearchExhaustive (the pruning oracle and benchmark baseline).
 package ir
@@ -284,54 +285,57 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	if k <= 0 || subject < 0 || subject >= ix.n {
 		return nil, ix.epoch.Load()
 	}
+	return ix.execute(k, true, func(sc *queryScratch) prunedQuery {
+		pq := prunedQuery{exclude: subject}
+		// The dense norm entry is 0 exactly when the subject has no posts
+		// or a zero norm, hot or cold alike; such a subject only pads.
+		n2 := ix.norm2[subject]
+		if n2 == 0 {
+			return pq
+		}
+		// One pass lifts the subject's support and weights together; the
+		// executor orders tags by bound itself, and the exact-integer dots
+		// make every downstream sum order-independent, so the ascending
+		// order Support would give buys nothing here. A cold subject's
+		// support streams off its blob instead (and marks it for promotion
+		// — a queried subject is hot by definition).
+		sc.support, sc.weights = sc.support[:0], sc.weights[:0]
+		lift := func(t tags.Tag, c int64) {
+			sc.support = append(sc.support, t)
+			sc.weights = append(sc.weights, float64(c))
+		}
+		sh, l := ix.locate(subject)
+		if subj := sh.vecs[l]; subj != nil {
+			subj.ForEach(lift)
+		} else {
+			scanFrozenVec(sh.frozen[l], subject, lift)
+			sc.promote = append(sc.promote, int32(subject))
+		}
+		pq.tags, pq.weights, pq.subjNorm = sc.support, sc.weights, math.Sqrt(n2)
+		return pq
+	})
+}
+
+// execute is the shell every serving query runs in: it takes the
+// all-shards read view, checks out a scratch, lets build assemble the
+// query against that view, runs the pruned executor (pad selects TopK's
+// zero-similarity padding), and promotes the cold resources the query
+// decoded once the read locks drop.
+func (ix *OnlineIndex) execute(k int, pad bool, build func(sc *queryScratch) prunedQuery) ([]Scored, uint64) {
 	ix.rlockAll()
 	epoch := ix.epoch.Load()
-	sh, l := ix.locate(subject)
-	// The dense norm entry is 0 exactly when the old guard
-	// (zero norm or zero posts) fired — hot or cold alike.
-	n2 := ix.norm2[subject]
-	if n2 == 0 {
-		res := rankTopK(ix.n, subject, k, 0, nil, ix.norm2At)
-		ix.runlockAll()
-		return res, epoch
-	}
-	subjNorm := math.Sqrt(n2)
 	sc := ix.getScratch()
-	// One pass lifts the subject's support and weights together; the
-	// executor orders tags by bound itself, and the exact-integer dots
-	// make every downstream sum order-independent, so the ascending
-	// order Support would give buys nothing here. A cold subject's
-	// support streams off its blob instead (and marks it for promotion
-	// — a queried subject is hot by definition).
-	sc.support, sc.weights = sc.support[:0], sc.weights[:0]
-	lift := func(t tags.Tag, c int64) {
-		sc.support = append(sc.support, t)
-		sc.weights = append(sc.weights, float64(c))
+	pq := build(sc)
+	res := ix.runPruned(&pq, k, sc, pad)
+	var promote []int32
+	if len(sc.promote) > 0 {
+		// Copied out: promotion runs after the scratch returns to the pool.
+		promote = append(promote, sc.promote...)
 	}
-	if subj := sh.vecs[l]; subj != nil {
-		subj.ForEach(lift)
-	} else {
-		scanFrozenVec(sh.frozen[l], subject, lift)
-	}
-	pq := prunedQuery{subject: subject, tags: sc.support, weights: sc.weights, subjNorm: subjNorm}
-	res := ix.runPruned(&pq, k, sc, true)
-	if sh.vecs[l] == nil {
-		sc.promote = append(sc.promote, int32(subject))
-	}
-	promote := promoteList(sc)
 	ix.putScratch(sc)
 	ix.runlockAll()
 	ix.promote(promote)
 	return res, epoch
-}
-
-// promoteList copies the scratch's promotion ids out before the scratch
-// returns to the pool (promotion runs after the read locks drop).
-func promoteList(sc *queryScratch) []int32 {
-	if len(sc.promote) == 0 {
-		return nil
-	}
-	return append([]int32(nil), sc.promote...)
 }
 
 // norm2At adapts the dense norm cache to the rank finalizers' resolver
@@ -433,26 +437,7 @@ func normalizeQuery(q tags.Post) tags.Post {
 // pruned executor, bit-identical to SearchExhaustive. Returns the
 // epoch-consistent view it scored against.
 func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
-	ix.searchQueries.Add(1)
-	query = normalizeQuery(query)
-	if k <= 0 || len(query) == 0 || ix.n == 0 {
-		return nil, ix.epoch.Load()
-	}
-	ix.rlockAll()
-	epoch := ix.epoch.Load()
-	sc := ix.getScratch()
-	// The query vector's squared norm is |query| exactly (unit counts
-	// over distinct tags). The score expression mirrors
-	// sparse.Counts.Cosine term for term (single sqrt of the norm
-	// product, same clamping), so a Search score is bit-identical to
-	// Cosine against a count vector holding the query.
-	pq := prunedQuery{subject: -1, tags: query, qNorm2: float64(len(query)), search: true}
-	res := ix.runPruned(&pq, k, sc, false)
-	promote := promoteList(sc)
-	ix.putScratch(sc)
-	ix.runlockAll()
-	ix.promote(promote)
-	return res, epoch
+	return ix.SearchOwned(query, k, nil)
 }
 
 // SearchExhaustive is the pre-pruning Search, preserved as the pruning

@@ -127,7 +127,7 @@ func (s *Server) handleClusterTopK(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	if !s.checkMapHash(w, req.MapHash) {
+	if !s.checkMapHash(w, req.MapHash) || !checkK(w, req.K) {
 		return
 	}
 	query := make([]incentivetag.WeightedTag, len(req.Entries))

@@ -136,6 +136,28 @@ func TestClusterTopKScoresOnlyOwned(t *testing.T) {
 	var e server.ErrorResponse
 	h.call(t, "GET", "/cluster/search?maphash="+hash, nil, &e, http.StatusBadRequest)
 	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{MapHash: hash, K: 0}, &e, http.StatusBadRequest)
+
+	// k is capped like /topk's: an oversized k is refused before it can
+	// size anything (an unbounded one lets a single request exhaust the
+	// node's memory), and the node keeps serving. The huge k goes as a
+	// raw JSON number so the test compiles on 32-bit targets too.
+	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{MapHash: hash, K: 1001, QNorm2: rfd.Norm2, Entries: rfd.Entries}, &e, http.StatusBadRequest)
+	h.call(t, "POST", "/cluster/topk", map[string]any{
+		"maphash": hash, "k": int64(1) << 40, "qnorm2": rfd.Norm2, "entries": rfd.Entries,
+	}, &e, http.StatusBadRequest)
+	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{MapHash: hash, Exclude: 4, K: 1000, QNorm2: rfd.Norm2, Entries: rfd.Entries}, &resp, http.StatusOK)
+
+	// Query vectors RFD could never emit are refused: the pruning bounds
+	// assume ascending tags with positive counts.
+	for _, bad := range [][]server.WeightedEntry{
+		{{Tag: -1, Count: 1}},                     // negative tag id
+		{{Tag: 2, Count: 1}, {Tag: 2, Count: 1}},  // duplicated tag
+		{{Tag: 3, Count: 1}, {Tag: 2, Count: 1}},  // descending tags
+		{{Tag: 2, Count: 0}},                      // zero count
+		{{Tag: 1, Count: 2}, {Tag: 2, Count: -3}}, // negative count
+	} {
+		h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{MapHash: hash, K: 5, QNorm2: 1, Entries: bad}, &e, http.StatusBadRequest)
+	}
 }
 
 func TestIngestMisdirected(t *testing.T) {

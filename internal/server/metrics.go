@@ -24,20 +24,6 @@ type routeInst struct {
 // observe records one finished admitted request.
 func (ri *routeInst) observe(d time.Duration) { ri.hist.Observe(d) }
 
-// quantiles for the per-route gauge series. p50/p90/p99 are the SLO
-// readouts the overload suite and dashboards key on.
-var promQuantiles = []struct {
-	label string
-	q     float64
-}{
-	{"0.5", 0.50},
-	{"0.9", 0.90},
-	{"0.99", 0.99},
-}
-
-// promFloat renders a float the way Prometheus text exposition expects.
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // handlePromMetrics is GET /metrics/prom: a hand-rolled Prometheus text
 // exposition (version 0.0.4) of the admission and latency state. The
 // JSON GET /metrics endpoint is unchanged; this one exists so a stock
@@ -64,12 +50,12 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		total := ri.hist.Cumulative(&buf)
 		for i := 0; i < admit.HistBuckets; i++ {
 			fmt.Fprintf(&b, "tagserved_request_seconds_bucket{route=%q,class=%q,le=%q} %d\n",
-				ri.route, ri.class.String(), promFloat(admit.BucketBound(i)), buf[i])
+				ri.route, ri.class.String(), admit.PromFloat(admit.BucketBound(i)), buf[i])
 		}
 		fmt.Fprintf(&b, "tagserved_request_seconds_bucket{route=%q,class=%q,le=\"+Inf\"} %d\n",
 			ri.route, ri.class.String(), total)
 		fmt.Fprintf(&b, "tagserved_request_seconds_sum{route=%q,class=%q} %s\n",
-			ri.route, ri.class.String(), promFloat(ri.hist.Sum()))
+			ri.route, ri.class.String(), admit.PromFloat(ri.hist.Sum()))
 		fmt.Fprintf(&b, "tagserved_request_seconds_count{route=%q,class=%q} %d\n",
 			ri.route, ri.class.String(), total)
 	}
@@ -79,9 +65,9 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("# HELP tagserved_request_quantile_seconds Upper-bound latency quantiles per route.\n")
 	b.WriteString("# TYPE tagserved_request_quantile_seconds gauge\n")
 	for _, ri := range s.insts {
-		for _, pq := range promQuantiles {
+		for _, pq := range admit.PromQuantiles {
 			fmt.Fprintf(&b, "tagserved_request_quantile_seconds{route=%q,class=%q,q=%q} %s\n",
-				ri.route, ri.class.String(), pq.label, promFloat(ri.hist.Quantile(pq.q)))
+				ri.route, ri.class.String(), pq.Label, admit.PromFloat(ri.hist.Quantile(pq.Q)))
 		}
 	}
 
@@ -124,7 +110,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "tagserved_resident_bytes %d\n", tier.ResidentBytes)
 		b.WriteString("# HELP tagserved_rehydrate_p99_seconds Upper-bound p99 of cold-to-hot rehydration latency.\n")
 		b.WriteString("# TYPE tagserved_rehydrate_p99_seconds gauge\n")
-		fmt.Fprintf(&b, "tagserved_rehydrate_p99_seconds %s\n", promFloat(tier.RehydrateP99))
+		fmt.Fprintf(&b, "tagserved_rehydrate_p99_seconds %s\n", admit.PromFloat(tier.RehydrateP99))
 	}
 
 	// Operational state.
@@ -156,7 +142,7 @@ func (s *Server) instrument(route string, class admit.Class, h http.HandlerFunc)
 		res := s.ctl.Admit(r.Context(), class)
 		if res.Outcome != admit.Admitted {
 			ri.outcomes[res.Outcome].Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(res.RetryAfter)))
+			w.Header().Set("Retry-After", strconv.Itoa(res.RetryAfterSeconds()))
 			writeError(w, http.StatusTooManyRequests,
 				"%s overloaded (%s %s): retry later", route, class, res.Outcome)
 			return
@@ -171,17 +157,6 @@ func (s *Server) instrument(route string, class admit.Class, h http.HandlerFunc)
 		h(w, r)
 		ri.observe(time.Since(start))
 	}
-}
-
-// retryAfterSeconds renders an admission backoff as a Retry-After
-// value: whole seconds, rounded up, at least 1 (0 would mean "now",
-// which is exactly wrong for a shed request).
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // AdmissionStats exposes the admission controller's census (used by the

@@ -791,18 +791,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseK reads the optional k parameter (default 10, bounded [1,1000]);
+// maxK caps k on every query route, cluster legs included: k sizes the
+// result, so an unbounded one lets a single request exhaust memory.
+const maxK = 1000
+
+// checkK answers 400 and returns false unless k is in [1,maxK].
+func checkK(w http.ResponseWriter, k int) bool {
+	if k <= 0 || k > maxK {
+		writeError(w, http.StatusBadRequest, "k must be in [1,%d]", maxK)
+		return false
+	}
+	return true
+}
+
+// parseK reads the optional k parameter (default 10, bounded [1,maxK]);
 // ok=false means the error response was already written.
 func parseK(w http.ResponseWriter, q url.Values) (int, bool) {
 	k := 10
 	if ks := q.Get("k"); ks != "" {
 		var err error
-		if k, err = strconv.Atoi(ks); err != nil || k <= 0 || k > 1000 {
-			writeError(w, http.StatusBadRequest, "k must be in [1,1000]")
-			return 0, false
+		if k, err = strconv.Atoi(ks); err != nil {
+			k = 0 // rejected below with the range message
 		}
 	}
-	return k, true
+	return k, checkK(w, k)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
