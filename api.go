@@ -392,7 +392,7 @@ type ServiceOptions struct {
 	// Shards is the engine shard count (default engine.DefaultShards);
 	// ingest throughput scales with shards across cores.
 	Shards int
-	// Strategy names the allocation policy behind Allocate: "RR", "FP",
+	// Strategy names the allocation policy behind Lease: "RR", "FP",
 	// "MU" or "FP-MU" (default "FP-MU"). "FC" is rejected: Free Choice
 	// models organic tagger behaviour over the recorded replay stream,
 	// which a live service receives through Ingest instead of
@@ -482,9 +482,9 @@ type AllocatorStats = alloc.Stats
 //
 // Every method is safe for arbitrary concurrency: ingest scales across
 // engine shards, while strategy state is serialized inside the lease
-// allocator (internal/alloc). Allocate/Complete remain as the
-// resource-keyed sequential surface; under the one-task-at-a-time
-// discipline they make exactly the decisions the lease path makes.
+// allocator (internal/alloc). Lease/Fulfill/Expire is the only
+// incentive-loop API; a single worker settling each lease before taking
+// the next makes exactly the decisions of the paper's sequential loop.
 type Service struct {
 	eng    *engine.Engine
 	wal    *tagstore.Store
@@ -594,7 +594,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		opts.KeepSnapshots = 2
 	}
 	if opts.Strategy == "FC" {
-		return nil, fmt.Errorf("incentivetag: FC models organic tagger choice over the recorded replay; a live Service receives organic traffic through Ingest — pick RR, FP, MU or FP-MU for Allocate")
+		return nil, fmt.Errorf("incentivetag: FC models organic tagger choice over the recorded replay; a live Service receives organic traffic through Ingest — pick RR, FP, MU or FP-MU for Lease")
 	}
 	data := sim.FromDataset(ds, opts.Resources)
 	if err := data.Validate(); err != nil {
@@ -871,25 +871,6 @@ func (s *Service) LeaseResource(lease LeaseID) (resource int, ok bool) {
 // AllocStats reports the lease lifecycle counters (issued, outstanding,
 // fulfilled, expired).
 func (s *Service) AllocStats() AllocatorStats { return s.alloc.StatsSnapshot() }
-
-// Allocate is the sequential resource-keyed surface over Lease: it
-// leases the next task and returns only the resource. Every successful
-// Allocate must be followed by exactly one Complete for that resource.
-// Prefer Lease/Fulfill for concurrent workers — they carry the lease
-// identity explicitly.
-func (s *Service) Allocate(remaining int) (resource int, ok bool) {
-	resource, _, ok = s.alloc.Lease(remaining)
-	return resource, ok
-}
-
-// Complete ingests the post produced by an allocated task and notifies
-// the strategy (Algorithm 1's UPDATE step), settling the oldest
-// outstanding lease on the resource. Calling Complete on a resource
-// with no outstanding lease preserves the historical unpaired-Complete
-// behaviour: the post is ingested and the strategy notified directly.
-func (s *Service) Complete(resource int, p Post) error {
-	return s.alloc.FulfillResource(resource, p)
-}
 
 // Count returns the number of posts a resource has received.
 func (s *Service) Count(resource int) int { return s.eng.Count(resource) }

@@ -217,10 +217,10 @@ func TestServiceFacade(t *testing.T) {
 		t.Fatalf("quality out of range: %g", q)
 	}
 
-	// Incentive loop: every allocation must name a real resource and
-	// Complete must feed the strategy without errors.
+	// Incentive loop: every lease must name a real resource and Fulfill
+	// must feed the strategy without errors.
 	for b := 0; b < 25; b++ {
-		i, ok := svc.Allocate(25 - b)
+		i, lease, ok := svc.Lease(25 - b)
 		if !ok {
 			t.Fatal("allocation exhausted unexpectedly")
 		}
@@ -230,7 +230,7 @@ func TestServiceFacade(t *testing.T) {
 		if k < len(r.Seq) {
 			p = r.Seq[k]
 		}
-		if err := svc.Complete(i, p); err != nil {
+		if err := svc.Fulfill(lease, p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,11 +31,19 @@
 // ready only with every node up, degraded while any is down; GET
 // /owner?resource=i reports where the ring places a resource.
 //
-// The admission flags reuse tagserved's middleware at the gateway:
+// The gateway serves through the same front as tagserved
+// (internal/server.Front), so the admission flags mean the same thing:
 // proxied ingest is the bulk class (shed first, 429 + Retry-After pass-
 // through from the nodes included), queries and the lease loop are
-// interactive. GET /metrics/prom adds per-backend liveness, request,
-// error and latency series to the same admission telemetry.
+// interactive. GET /metrics/prom emits tagserved's shared families
+// under the taggate_ prefix — per-route requests, latency histograms
+// and quantiles by route and class, in-flight and queue gauges and
+// limits, draining and the 413 counter — plus per-backend liveness,
+// request, error and latency series.
+//
+// On SIGINT/SIGTERM the gateway drains: the front's drain gate answers
+// every new request except /healthz with 503 + Retry-After while
+// in-flight requests finish, then the health prober stops.
 package main
 
 import (
@@ -101,15 +109,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "taggate: fronting %d nodes (vnodes=%d, map hash %s) on %s\n",
 		len(m.Nodes), m.VNodes, g.MapHash(), l.Addr())
 
-	hs := &http.Server{
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 	done := make(chan error, 1)
-	go func() { done <- hs.Serve(l) }()
+	go func() { done <- g.Serve(l) }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -117,7 +118,7 @@ func main() {
 	case s := <-sig:
 		fmt.Fprintf(os.Stderr, "taggate: %v — draining\n", s)
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		err := hs.Shutdown(ctx)
+		err := g.Shutdown(ctx)
 		cancel()
 		if err != nil {
 			fail("shutdown: %v", err)

@@ -29,8 +29,10 @@
 // shed. The defaults (0) disable both limits. -max-body caps request
 // bodies (413 beyond it). GET /metrics/prom exposes the admission
 // counters, queue gauges and per-route latency quantiles in Prometheus
-// text format. Limits are per process: a fleet behind a balancer
-// multiplies them by the replica count.
+// text format — the families taggate emits under its own prefix, since
+// both daemons serve through internal/server.Front. Limits are per
+// process: a fleet behind a balancer multiplies them by the replica
+// count.
 //
 // The residency flags enable memory tiering: -max-resident and
 // -max-resident-bytes budget how many resources (and how much estimated

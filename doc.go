@@ -30,8 +30,8 @@
 //     experiments (RunExperiment, Experiments);
 //   - a live serving facade over the concurrent sharded tagging engine
 //     (Service): lock-striped Ingest from any number of goroutines, the
-//     Allocate/Complete incentive loop of Algorithm 1 against live
-//     state, and O(1) aggregate metric reads (Quality, Snapshot) backed
+//     incentive loop of Algorithm 1 against live state as leases
+//     (Lease/Fulfill/Expire, the only incentive-loop API), and O(1) aggregate metric reads (Quality, Snapshot) backed
 //     by incrementally maintained quality sums — with optional full
 //     durability (ServiceOptions.WALDir): a segmented write-ahead post
 //     log plus engine snapshots, background compaction, and crash
@@ -162,8 +162,7 @@
 // draining from serving; shutdown stops admitting before it waits for
 // in-flight work. Limits are per-process — behind a load balancer,
 // size the rate per replica. The zero AdmissionConfig disables
-// limiting entirely. AdmissionStats exposes the same counters
-// programmatically.
+// limiting entirely.
 //
 // # Scaling out
 //
@@ -183,8 +182,10 @@
 // per-node epochs and a partial flag: a dead shard degrades reads to
 // 200/partial rather than 5xx, and the shard-map hash rides on every
 // cluster RPC so divergent maps fail with 409 instead of silently
-// mis-ranking. The gateway reuses the admission layer and exposes
-// per-backend health and latency at /metrics/prom.
+// mis-ranking. The gateway serves through the same front as a node
+// (internal/server.Front): the same admission layer, the same drain
+// gate on SIGTERM, and the same /metrics/prom families under the
+// taggate_ prefix, plus per-backend health and latency.
 //
 // # Quick start
 //

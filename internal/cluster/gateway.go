@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -40,26 +39,20 @@ type Config struct {
 // a single tagserved node — /ingest routed to each post's owner,
 // /topk and /search scatter-gathered and merged bit-identically, merged
 // /metrics, plus cluster-only /owner. Create with New, start the prober
-// with Start, serve via Handler or ListenAndServe.
+// with Start, serve through the embedded server.Front (Handler or
+// Serve/Shutdown), then Stop the prober.
 type Gateway struct {
+	*server.Front
 	m        *Map
 	ring     *Ring
 	mapHash  string
 	backends []*backend
 
-	ctl     *admit.Controller
-	insts   []*routeInst
-	maxBody int64
-
 	probeInterval time.Duration
 	probeCancel   context.CancelFunc
 	probeWG       sync.WaitGroup
 
-	rr  atomic.Uint64 // allocate round-robin cursor
-	mux *http.ServeMux
-
-	mu sync.Mutex
-	hs *http.Server
+	rr atomic.Uint64 // allocate round-robin cursor
 }
 
 // New validates the configuration and builds the route table. The
@@ -72,20 +65,16 @@ func New(cfg Config) (*Gateway, error) {
 	if err := cfg.Map.validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if cfg.MaxBodyBytes < 0 {
-		return nil, fmt.Errorf("cluster: negative max body bytes %d", cfg.MaxBodyBytes)
+	f, err := server.NewFront("taggate", "gateway ", cfg.Admission, cfg.MaxBodyBytes)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	g := &Gateway{
+		Front:         f,
 		m:             cfg.Map,
 		ring:          cfg.Map.Ring(),
 		mapHash:       cfg.Map.Hash(),
-		ctl:           admit.NewController(cfg.Admission),
-		maxBody:       cfg.MaxBodyBytes,
 		probeInterval: cfg.ProbeInterval,
-		mux:           http.NewServeMux(),
-	}
-	if g.maxBody == 0 {
-		g.maxBody = server.DefaultMaxBody
 	}
 	if g.probeInterval <= 0 {
 		g.probeInterval = DefaultProbeInterval
@@ -94,17 +83,17 @@ func New(cfg Config) (*Gateway, error) {
 	for i, n := range cfg.Map.Nodes {
 		g.backends = append(g.backends, newBackend(i, n, client))
 	}
-	g.mux.HandleFunc("POST /ingest", g.instrument("/ingest", admit.Bulk, g.handleIngest))
-	g.mux.HandleFunc("GET /topk", g.instrument("/topk", admit.Interactive, g.handleTopK))
-	g.mux.HandleFunc("GET /search", g.instrument("/search", admit.Interactive, g.handleSearch))
-	g.mux.HandleFunc("POST /allocate", g.instrument("/allocate", admit.Interactive, g.handleAllocate))
-	g.mux.HandleFunc("POST /complete", g.instrument("/complete", admit.Interactive, g.handleComplete))
-	g.mux.HandleFunc("POST /expire", g.instrument("/expire", admit.Interactive, g.handleExpire))
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	g.mux.HandleFunc("GET /metrics/prom", g.handlePromMetrics)
-	g.mux.HandleFunc("GET /info", g.handleInfo)
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
-	g.mux.HandleFunc("GET /owner", g.handleOwner)
+	g.HandleAdmitted("POST /ingest", admit.Bulk, g.handleIngest)
+	g.HandleAdmitted("GET /topk", admit.Interactive, g.handleTopK)
+	g.HandleAdmitted("GET /search", admit.Interactive, g.handleSearch)
+	g.HandleAdmitted("POST /allocate", admit.Interactive, g.handleAllocate)
+	g.HandleAdmitted("POST /complete", admit.Interactive, g.handleComplete)
+	g.HandleAdmitted("POST /expire", admit.Interactive, g.handleExpire)
+	g.Handle("GET /metrics", g.handleMetrics)
+	g.Handle("GET /metrics/prom", g.handlePromMetrics)
+	g.Handle("GET /info", g.handleInfo)
+	g.Handle("GET /healthz", g.handleHealthz)
+	g.Handle("GET /owner", g.handleOwner)
 	return g, nil
 }
 
@@ -122,41 +111,6 @@ func (g *Gateway) Stop() {
 		g.probeWG.Wait()
 		g.probeCancel = nil
 	}
-}
-
-// Handler returns the gateway's route table.
-func (g *Gateway) Handler() http.Handler { return g.mux }
-
-// ListenAndServe serves until Shutdown.
-func (g *Gateway) ListenAndServe(addr string) error {
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       server.DefaultReadTimeout,
-		WriteTimeout:      server.DefaultWriteTimeout,
-		IdleTimeout:       server.DefaultIdleTimeout,
-	}
-	g.mu.Lock()
-	g.hs = hs
-	g.mu.Unlock()
-	err := hs.ListenAndServe()
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
-
-// Shutdown drains in-flight requests and stops the prober.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.mu.Lock()
-	hs := g.hs
-	g.mu.Unlock()
-	g.Stop()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
 }
 
 // MapHash exposes the placement fingerprint (logged at boot, asserted
@@ -277,54 +231,13 @@ type OwnerResponse struct {
 
 // --- helpers --------------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// readJSON mirrors the node-side strict decode (unknown fields and
-// oversized bodies rejected with the same statuses).
-func (g *Gateway) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes; split the batch", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// parseK mirrors the node-side k parameter contract.
-func parseK(w http.ResponseWriter, q url.Values) (int, bool) {
-	k := 10
-	if ks := q.Get("k"); ks != "" {
-		var err error
-		if k, err = strconv.Atoi(ks); err != nil || k <= 0 || k > 1000 {
-			writeError(w, http.StatusBadRequest, "k must be in [1,1000]")
-			return 0, false
-		}
-	}
-	return k, true
-}
-
 // relayStatus forwards a backend's non-2xx answer (message, status and
 // — for 429 — Retry-After) to the gateway's client.
 func relayStatus(w http.ResponseWriter, e *statusError) {
 	if e.status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterOr(e, 1)))
 	}
-	writeError(w, e.status, "%s", e.msg)
+	server.WriteError(w, e.status, "%s", e.msg)
 }
 
 // upBackends snapshots the currently-live scatter set.
@@ -338,42 +251,79 @@ func (g *Gateway) upBackends() []*backend {
 	return up
 }
 
-// mergeTop merges per-node partial rankings under the engine's strict
-// total order — score descending, id ascending — and truncates to k.
-// Every score was computed on its owner node with bit-identical float
-// expressions, and resource ids are globally unique, so this sort is
-// exactly the single-node selector's order and the merged prefix equals
-// the single-node top-k (see internal/ir/cluster.go for the argument).
-func mergeTop(lists [][]server.TopKEntry, k int) []server.TopKEntry {
-	var all []server.TopKEntry
-	for _, l := range lists {
-		all = append(all, l...)
+// leg is one backend's successful answer to a scatter.
+type leg[T any] struct {
+	name string
+	resp T
+}
+
+// scatter sends one request to every backend in up concurrently and
+// returns the answers of the legs that succeeded, in up's order, plus
+// the first node status error among the legs that failed.
+func scatter[T any](ctx context.Context, up []*backend, method, path string, in any) ([]leg[T], *statusError) {
+	legs := make([]leg[T], len(up))
+	errs := make([]error, len(up))
+	var wg sync.WaitGroup
+	for i, b := range up {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			legs[i].name = b.name
+			errs[i] = b.do(ctx, method, path, in, &legs[i].resp)
+		}()
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
+	wg.Wait()
+	var failed *statusError
+	answered := legs[:0]
+	for i, l := range legs {
+		if errs[i] == nil {
+			answered = append(answered, l)
+		} else if failed == nil {
+			errors.As(errs[i], &failed)
 		}
-		return all[i].Resource < all[j].Resource
+	}
+	return answered, failed
+}
+
+// mergeLegs folds the answered legs of a query scatter: each node's
+// epoch, the epochs' sum, and the per-node partial rankings merged under
+// the engine's strict total order — score descending, id ascending —
+// and truncated to k. Every score was computed on its owner node with
+// bit-identical float expressions, and resource ids are globally
+// unique, so this sort is exactly the single-node selector's order and
+// the merged prefix equals the single-node top-k (see
+// internal/ir/cluster.go for the argument).
+func mergeLegs[T any](legs []leg[T], k int, part func(*T) (uint64, []server.TopKEntry)) (epochs map[string]uint64, epoch uint64, top []server.TopKEntry) {
+	epochs = make(map[string]uint64, len(legs))
+	top = []server.TopKEntry{} // render as [] not null, like the nodes do
+	for i := range legs {
+		e, t := part(&legs[i].resp)
+		epochs[legs[i].name] = e
+		epoch += e
+		top = append(top, t...)
+	}
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].Score != top[j].Score {
+			return top[i].Score > top[j].Score
+		}
+		return top[i].Resource < top[j].Resource
 	})
-	if len(all) > k {
-		all = all[:k]
+	if len(top) > k {
+		top = top[:k]
 	}
-	if len(all) == 0 {
-		return []server.TopKEntry{} // render as [] not null, like the nodes do
-	}
-	return all
+	return epochs, epoch, top
 }
 
 // --- ingest ---------------------------------------------------------------
 
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req server.IngestRequest
-	if !g.readJSON(w, r, &req) {
+	if !g.ReadJSON(w, r, &req) {
 		return
 	}
 	single := len(req.Tags) > 0
 	if single == (len(req.Events) > 0) {
-		writeError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
+		server.WriteError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
 		return
 	}
 	if single {
@@ -389,7 +339,7 @@ func (g *Gateway) ingestOne(w http.ResponseWriter, r *http.Request, req *server.
 	b := g.backends[g.ring.Owner(req.Resource)]
 	if !b.up.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		server.WriteError(w, http.StatusServiceUnavailable,
 			"owner node %q for resource %d is down", b.name, req.Resource)
 		return
 	}
@@ -401,10 +351,10 @@ func (g *Gateway) ingestOne(w http.ResponseWriter, r *http.Request, req *server.
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "owner node %q: %v", b.name, err)
+		server.WriteError(w, http.StatusBadGateway, "owner node %q: %v", b.name, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // ingestBatch splits a batch by owner (per-resource order preserved —
@@ -474,12 +424,12 @@ func (g *Gateway) ingestBatch(w http.ResponseWriter, r *http.Request, events []s
 	}
 	switch {
 	case failed == 0:
-		writeJSON(w, http.StatusOK, server.IngestResponse{Ingested: ingested})
+		server.WriteJSON(w, http.StatusOK, server.IngestResponse{Ingested: ingested})
 	case ingested == 0 && allShed:
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeError(w, http.StatusTooManyRequests, "all owner nodes shed the batch: retry later")
+		server.WriteError(w, http.StatusTooManyRequests, "all owner nodes shed the batch: retry later")
 	default:
-		writeError(w, http.StatusBadGateway,
+		server.WriteError(w, http.StatusBadGateway,
 			"partial ingest: %d of %d events ingested, %d sub-batches failed; do not blindly retry (successful shards would double-ingest); first failure: %v",
 			ingested, len(events), failed, firstErr)
 	}
@@ -489,17 +439,11 @@ func (g *Gateway) ingestBatch(w http.ResponseWriter, r *http.Request, events []s
 
 func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	rs := q.Get("resource")
-	if rs == "" {
-		writeError(w, http.StatusBadRequest, "missing resource parameter")
+	resource, ok := server.ParseResource(w, q)
+	if !ok {
 		return
 	}
-	resource, err := strconv.Atoi(rs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
-		return
-	}
-	k, ok := parseK(w, q)
+	k, ok := server.ParseK(w, q)
 	if !ok {
 		return
 	}
@@ -510,12 +454,12 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	owner := g.backends[g.ring.Owner(resource)]
 	if !owner.up.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		server.WriteError(w, http.StatusServiceUnavailable,
 			"resource %d's owner node %q is down; top-k needs the subject vector", resource, owner.name)
 		return
 	}
 	var rfd server.RFDResponse
-	err = owner.do(r.Context(), http.MethodGet,
+	err := owner.do(r.Context(), http.MethodGet,
 		"/cluster/rfd?resource="+strconv.Itoa(resource)+"&maphash="+g.mapHash, nil, &rfd)
 	var se *statusError
 	if errors.As(err, &se) {
@@ -524,7 +468,7 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "owner node %q: %v", owner.name, err)
+		server.WriteError(w, http.StatusServiceUnavailable, "owner node %q: %v", owner.name, err)
 		return
 	}
 
@@ -537,47 +481,18 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 		K:       k,
 		Entries: rfd.Entries,
 	}
-	type leg struct {
-		name string
-		resp server.ClusterTopKResponse
-		err  error
-	}
-	up := g.upBackends()
-	legs := make([]leg, len(up))
-	var wg sync.WaitGroup
-	for i, b := range up {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			legs[i].name = b.name
-			legs[i].err = b.do(r.Context(), http.MethodPost, "/cluster/topk", req, &legs[i].resp)
-		}(i, b)
-	}
-	wg.Wait()
-
-	lists := make([][]server.TopKEntry, 0, len(legs))
-	epochs := make(map[string]uint64, len(legs))
-	var epochSum uint64
-	ok2 := 0
-	for _, l := range legs {
-		if l.err != nil {
-			continue
-		}
-		ok2++
-		lists = append(lists, l.resp.Top)
-		epochs[l.name] = l.resp.Epoch
-		epochSum += l.resp.Epoch
-	}
-	if ok2 == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
+	legs, _ := scatter[server.ClusterTopKResponse](r.Context(), g.upBackends(), http.MethodPost, "/cluster/topk", req)
+	if len(legs) == 0 {
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
 		return
 	}
-	writeJSON(w, http.StatusOK, TopKResponse{
+	epochs, epoch, top := mergeLegs(legs, k, func(l *server.ClusterTopKResponse) (uint64, []server.TopKEntry) { return l.Epoch, l.Top })
+	server.WriteJSON(w, http.StatusOK, TopKResponse{
 		Resource: resource,
-		Epoch:    epochSum,
+		Epoch:    epoch,
 		Epochs:   epochs,
-		Partial:  ok2 < len(g.backends),
-		Top:      mergeTop(lists, k),
+		Partial:  len(legs) < len(g.backends),
+		Top:      top,
 	})
 }
 
@@ -585,76 +500,39 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ts := q.Get("tags")
 	if ts == "" {
-		writeError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
+		server.WriteError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
 		return
 	}
-	k, ok := parseK(w, q)
+	k, ok := server.ParseK(w, q)
 	if !ok {
 		return
 	}
 	up := g.upBackends()
 	if len(up) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends")
 		return
 	}
 	path := "/cluster/search?tags=" + url.QueryEscape(ts) +
 		"&k=" + strconv.Itoa(k) + "&maphash=" + g.mapHash
-	type leg struct {
-		name string
-		resp server.SearchResponse
-		err  error
-	}
-	legs := make([]leg, len(up))
-	var wg sync.WaitGroup
-	for i, b := range up {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			legs[i].name = b.name
-			legs[i].err = b.do(r.Context(), http.MethodGet, path, nil, &legs[i].resp)
-		}(i, b)
-	}
-	wg.Wait()
-
-	lists := make([][]server.TopKEntry, 0, len(legs))
-	epochs := make(map[string]uint64, len(legs))
-	var epochSum uint64
-	var tags []int32
-	okLegs := 0
-	var firstStatus *statusError
-	for _, l := range legs {
-		if l.err != nil {
-			var se *statusError
-			if errors.As(l.err, &se) && firstStatus == nil {
-				firstStatus = se
-			}
-			continue
-		}
-		okLegs++
-		if tags == nil {
-			tags = l.resp.Tags
-		}
-		lists = append(lists, l.resp.Top)
-		epochs[l.name] = l.resp.Epoch
-		epochSum += l.resp.Epoch
-	}
-	if okLegs == 0 {
+	legs, failed := scatter[server.SearchResponse](r.Context(), up, http.MethodGet, path, nil)
+	if len(legs) == 0 {
 		// Every leg failed the same way a single node would have (e.g. a
 		// malformed tag list is a 400 on all of them): relay that instead
 		// of masking a client error as a gateway outage.
-		if firstStatus != nil {
-			relayStatus(w, firstStatus)
+		if failed != nil {
+			relayStatus(w, failed)
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
 		return
 	}
-	writeJSON(w, http.StatusOK, SearchResponse{
-		Tags:    tags,
-		Epoch:   epochSum,
+	epochs, epoch, top := mergeLegs(legs, k, func(l *server.SearchResponse) (uint64, []server.TopKEntry) { return l.Epoch, l.Top })
+	server.WriteJSON(w, http.StatusOK, SearchResponse{
+		Tags:    legs[0].resp.Tags,
+		Epoch:   epoch,
 		Epochs:  epochs,
-		Partial: okLegs < len(g.backends),
-		Top:     mergeTop(lists, k),
+		Partial: len(legs) < len(g.backends),
+		Top:     top,
 	})
 }
 
@@ -689,12 +567,12 @@ func (g *Gateway) decodeLease(l uint64) (*backend, uint64, bool) {
 // cursor to the next. ok=false only after every live node declined.
 func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	var req server.AllocateRequest
-	if !g.readJSON(w, r, &req) {
+	if !g.ReadJSON(w, r, &req) {
 		return
 	}
 	up := g.upBackends()
 	if len(up) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends")
 		return
 	}
 	start := int(g.rr.Add(1))
@@ -720,30 +598,30 @@ func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		}
 		lease, fit := encodeLease(b.idx, out.Lease)
 		if !fit {
-			writeError(w, http.StatusInternalServerError,
+			server.WriteError(w, http.StatusInternalServerError,
 				"node %q lease id %d overflows the gateway's routing bits", b.name, out.Lease)
 			return
 		}
 		out.Lease = lease
-		writeJSON(w, http.StatusOK, out)
+		server.WriteJSON(w, http.StatusOK, out)
 		return
 	}
 	if allShed && retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeError(w, http.StatusTooManyRequests, "all nodes shed the allocation: retry later")
+		server.WriteError(w, http.StatusTooManyRequests, "all nodes shed the allocation: retry later")
 		return
 	}
-	writeJSON(w, http.StatusOK, server.AllocateResponse{OK: false})
+	server.WriteJSON(w, http.StatusOK, server.AllocateResponse{OK: false})
 }
 
 func (g *Gateway) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req server.CompleteRequest
-	if !g.readJSON(w, r, &req) {
+	if !g.ReadJSON(w, r, &req) {
 		return
 	}
 	b, inner, ok := g.decodeLease(req.Lease)
 	if !ok {
-		writeError(w, http.StatusBadRequest, "lease %d does not decode to a cluster node", req.Lease)
+		server.WriteError(w, http.StatusBadRequest, "lease %d does not decode to a cluster node", req.Lease)
 		return
 	}
 	req.Lease = inner
@@ -752,12 +630,12 @@ func (g *Gateway) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleExpire(w http.ResponseWriter, r *http.Request) {
 	var req server.ExpireRequest
-	if !g.readJSON(w, r, &req) {
+	if !g.ReadJSON(w, r, &req) {
 		return
 	}
 	b, inner, ok := g.decodeLease(req.Lease)
 	if !ok {
-		writeError(w, http.StatusBadRequest, "lease %d does not decode to a cluster node", req.Lease)
+		server.WriteError(w, http.StatusBadRequest, "lease %d does not decode to a cluster node", req.Lease)
 		return
 	}
 	req.Lease = inner
@@ -768,7 +646,7 @@ func (g *Gateway) handleExpire(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) settle(w http.ResponseWriter, r *http.Request, b *backend, path string, req any) {
 	if !b.up.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "node %q holding the lease is down", b.name)
+		server.WriteError(w, http.StatusServiceUnavailable, "node %q holding the lease is down", b.name)
 		return
 	}
 	var out server.OKResponse
@@ -779,10 +657,10 @@ func (g *Gateway) settle(w http.ResponseWriter, r *http.Request, b *backend, pat
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "node %q: %v", b.name, err)
+		server.WriteError(w, http.StatusBadGateway, "node %q: %v", b.name, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- ops ------------------------------------------------------------------
@@ -790,38 +668,21 @@ func (g *Gateway) settle(w http.ResponseWriter, r *http.Request, b *backend, pat
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	up := g.upBackends()
 	if len(up) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends")
 		return
 	}
-	type leg struct {
-		name string
-		resp server.MetricsResponse
-		err  error
+	legs, _ := scatter[server.MetricsResponse](r.Context(), up, http.MethodGet, "/metrics", nil)
+	if len(legs) == 0 {
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
+		return
 	}
-	legs := make([]leg, len(up))
-	var wg sync.WaitGroup
-	for i, b := range up {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			legs[i].name = b.name
-			legs[i].err = b.do(r.Context(), http.MethodGet, "/metrics", nil, &legs[i].resp)
-		}(i, b)
-	}
-	wg.Wait()
-
 	out := MetricsResponse{
 		Epochs: make(map[string]uint64),
 		Nodes:  make(map[string]server.MetricsResponse),
 	}
-	okLegs := 0
 	unlimited := false
 	var meanSum float64
 	for _, l := range legs {
-		if l.err != nil {
-			continue
-		}
-		okLegs++
 		m := l.resp
 		out.Nodes[l.name] = m
 		out.Epochs[l.name] = m.Epoch
@@ -849,23 +710,19 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		meanSum += m.MeanQuality
 	}
-	if okLegs == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
-		return
-	}
 	if unlimited {
 		out.RemainingBudget = -1
 	}
-	out.MeanQuality = meanSum / float64(okLegs)
-	out.Partial = okLegs < len(g.backends)
-	writeJSON(w, http.StatusOK, out)
+	out.MeanQuality = meanSum / float64(len(legs))
+	out.Partial = len(legs) < len(g.backends)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request) {
 	up := g.upBackends()
 	ci := ClusterInfo{Nodes: len(g.backends), Up: len(up), VNodes: g.m.VNodes, MapHash: g.mapHash}
 	if len(up) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, InfoResponse{Ready: false, Cluster: ci})
+		server.WriteJSON(w, http.StatusServiceUnavailable, InfoResponse{Ready: false, Cluster: ci})
 		return
 	}
 	var ni server.InfoResponse
@@ -877,10 +734,10 @@ func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !got {
-		writeJSON(w, http.StatusServiceUnavailable, InfoResponse{Ready: false, Cluster: ci})
+		server.WriteJSON(w, http.StatusServiceUnavailable, InfoResponse{Ready: false, Cluster: ci})
 		return
 	}
-	writeJSON(w, http.StatusOK, InfoResponse{
+	server.WriteJSON(w, http.StatusOK, InfoResponse{
 		N:           ni.N,
 		TagUniverse: ni.TagUniverse,
 		Strategy:    ni.Strategy,
@@ -912,22 +769,16 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if upCount == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	server.WriteJSON(w, status, resp)
 }
 
 func (g *Gateway) handleOwner(w http.ResponseWriter, r *http.Request) {
-	rs := r.URL.Query().Get("resource")
-	if rs == "" {
-		writeError(w, http.StatusBadRequest, "missing resource parameter")
-		return
-	}
-	resource, err := strconv.Atoi(rs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
+	resource, ok := server.ParseResource(w, r.URL.Query())
+	if !ok {
 		return
 	}
 	b := g.backends[g.ring.Owner(resource)]
-	writeJSON(w, http.StatusOK, OwnerResponse{
+	server.WriteJSON(w, http.StatusOK, OwnerResponse{
 		Resource: resource,
 		Node:     b.name,
 		URL:      b.url,

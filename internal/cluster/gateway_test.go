@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -585,5 +588,152 @@ func TestGatewayMapHashMismatch(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("mismatched-map search = %d, want 409", resp.StatusCode)
+	}
+}
+
+// get answers method+url with the status, headers and body text.
+func get(t *testing.T, method, url string, body []byte) (int, http.Header, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, string(raw)
+}
+
+// The gateway's error paths answer as a node's do: a bad k is the
+// node's 400 verbatim, an oversized body is a 413 counted in
+// taggate_body_too_large_total, and once Shutdown starts the drain gate
+// refuses work with 503 + Retry-After while /healthz still answers.
+func TestGatewayErrorPaths(t *testing.T) {
+	h := newCluster(t, 2, admit.Config{})
+	gw, err := cluster.New(cluster.Config{Map: h.m, MaxBodyBytes: 512, ProbeInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start()
+	defer gw.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := gw.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name       string
+		method     string
+		path       string
+		body       []byte
+		want       int
+		sameAsNode bool
+	}{
+		{"k=0", "GET", "/topk?resource=0&k=0", nil, http.StatusBadRequest, true},
+		{"k=1001", "GET", "/topk?resource=0&k=1001", nil, http.StatusBadRequest, true},
+		{"k=abc", "GET", "/topk?resource=0&k=abc", nil, http.StatusBadRequest, true},
+		{"oversized body", "POST", "/ingest", bytes.Repeat([]byte(" "), 600), http.StatusRequestEntityTooLarge, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, _, body := get(t, tc.method, ts.URL+tc.path, tc.body)
+			if status != tc.want {
+				t.Fatalf("%s %s = %d (want %d): %s", tc.method, tc.path, status, tc.want, body)
+			}
+			if !tc.sameAsNode {
+				return
+			}
+			nodeStatus, _, nodeBody := get(t, tc.method, h.nodes[0].ts.URL+tc.path, tc.body)
+			if nodeStatus != status || nodeBody != body {
+				t.Fatalf("gateway answered %d %s, node %d %s", status, body, nodeStatus, nodeBody)
+			}
+		})
+	}
+	if _, _, prom := get(t, "GET", ts.URL+"/metrics/prom", nil); !strings.Contains(prom, "\ntaggate_body_too_large_total 1\n") {
+		t.Fatalf("413 not counted:\n%s", prom)
+	}
+
+	if err := gw.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	status, hdr, body := get(t, "GET", ts.URL+"/topk?resource=0&k=5", nil)
+	if status != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Fatalf("mid-drain /topk = %d (Retry-After %q): %s", status, hdr.Get("Retry-After"), body)
+	}
+	if status, _, body := get(t, "GET", ts.URL+"/healthz", nil); status != http.StatusOK {
+		t.Fatalf("mid-drain /healthz = %d: %s", status, body)
+	}
+}
+
+// promLine matches one sample line of the text exposition format under
+// one metric prefix (the node's pattern, prefix aside).
+func promLine(prefix string) *regexp.Regexp {
+	return regexp.MustCompile(`^` + prefix + `_[a-z0-9_]+(\{[a-zA-Z_]+="[^"]*"(,[a-zA-Z_]+="[^"]*")*\})? ((\+Inf)|([0-9eE.+-]+))$`)
+}
+
+var promLabelKey = regexp.MustCompile(`([a-zA-Z_]+)="[^"]*"`)
+
+// scrapeProm checks every sample line of base's /metrics/prom against
+// the prefix's pattern and returns, per family name (prefix stripped),
+// the set of label-key lists its samples carry.
+func scrapeProm(t *testing.T, base, prefix string) map[string]map[string]bool {
+	t.Helper()
+	status, _, text := get(t, "GET", base+"/metrics/prom", nil)
+	if status != http.StatusOK {
+		t.Fatalf("%s/metrics/prom = %d", base, status)
+	}
+	line := promLine(prefix)
+	families := map[string]map[string]bool{}
+	for _, l := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if strings.HasPrefix(l, "#") {
+			continue
+		}
+		if !line.MatchString(l) {
+			t.Fatalf("malformed %s exposition line: %q", prefix, l)
+		}
+		series := l[len(prefix)+1 : strings.LastIndexByte(l, ' ')]
+		name, labels, _ := strings.Cut(series, "{")
+		var keys []string
+		for _, m := range promLabelKey.FindAllStringSubmatch(labels, -1) {
+			keys = append(keys, m[1])
+		}
+		if families[name] == nil {
+			families[name] = map[string]bool{}
+		}
+		families[name][strings.Join(keys, ",")] = true
+	}
+	return families
+}
+
+// The gateway's exposition parses like a node's, and every family the
+// two share carries the same label keys on both, so one dashboard query
+// set reads either daemon.
+func TestGatewayPromMetricsMatchNode(t *testing.T) {
+	h := newCluster(t, 2, admit.Config{})
+	h.call("GET", "/topk?resource=0&k=5", nil, nil, http.StatusOK)
+	gate := scrapeProm(t, h.gts.URL, "taggate")
+	node := scrapeProm(t, h.nodes[0].ts.URL, "tagserved")
+	for _, name := range []string{
+		"requests_total", "request_seconds_bucket", "request_seconds_sum", "request_seconds_count",
+		"request_quantile_seconds", "inflight", "queue_depth", "queue_limit", "inflight_limit",
+		"draining", "body_too_large_total",
+	} {
+		if len(node[name]) == 0 {
+			t.Fatalf("node exposition lacks %s", name)
+		}
+		if fmt.Sprint(gate[name]) != fmt.Sprint(node[name]) {
+			t.Fatalf("%s label keys: gateway %v, node %v", name, gate[name], node[name])
+		}
+	}
+	if !gate["request_seconds_bucket"]["route,class,le"] {
+		t.Fatalf("gateway histogram label keys %v", gate["request_seconds_bucket"])
 	}
 }

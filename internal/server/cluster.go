@@ -17,8 +17,6 @@ package server
 
 import (
 	"net/http"
-	"strconv"
-	"strings"
 
 	incentivetag "incentivetag"
 )
@@ -70,11 +68,11 @@ func (s *Server) checkMapHash(w http.ResponseWriter, got string) bool {
 		return true
 	}
 	if s.cfg.ShardMapHash == "" {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			"node is not cluster-configured (no -cluster-map) but the request carries shard-map hash %q", got)
 		return false
 	}
-	writeError(w, http.StatusConflict,
+	WriteError(w, http.StatusConflict,
 		"shard-map mismatch: node has %q, request carries %q — gateway and node were booted from different maps", s.cfg.ShardMapHash, got)
 	return false
 }
@@ -88,19 +86,13 @@ func (s *Server) handleClusterRFD(w http.ResponseWriter, r *http.Request) {
 	if !s.checkMapHash(w, q.Get("maphash")) {
 		return
 	}
-	rs := q.Get("resource")
-	if rs == "" {
-		writeError(w, http.StatusBadRequest, "missing resource parameter")
-		return
-	}
-	resource, err := strconv.Atoi(rs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
+	resource, ok := ParseResource(w, q)
+	if !ok {
 		return
 	}
 	entries, norm2, epoch, err := svc.RFD(resource)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !svc.OwnsResource(resource) {
@@ -108,14 +100,14 @@ func (s *Server) handleClusterRFD(w http.ResponseWriter, r *http.Request) {
 		// ring disagrees with ours despite the matching hash (should be
 		// impossible) or the caller bypassed the gateway. Refuse rather
 		// than serve a stale primed vector as if it were live.
-		writeError(w, http.StatusMisdirectedRequest, "resource %d is not owned by this node", resource)
+		WriteError(w, http.StatusMisdirectedRequest, "resource %d is not owned by this node", resource)
 		return
 	}
 	out := RFDResponse{Resource: resource, Epoch: epoch, Norm2: norm2, Entries: make([]WeightedEntry, len(entries))}
 	for i, e := range entries {
 		out.Entries[i] = WeightedEntry{Tag: int32(e.Tag), Count: e.Count}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleClusterTopK(w http.ResponseWriter, r *http.Request) {
@@ -124,7 +116,7 @@ func (s *Server) handleClusterTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClusterTopKRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req) {
 		return
 	}
 	if !s.checkMapHash(w, req.MapHash) || !checkK(w, req.K) {
@@ -136,61 +128,12 @@ func (s *Server) handleClusterTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	scored, epoch, err := svc.TopKWeighted(query, req.QNorm2, req.Exclude, req.K)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	out := ClusterTopKResponse{Epoch: epoch, Top: make([]TopKEntry, len(scored))}
 	for i, sc := range scored {
 		out.Top[i] = TopKEntry{Resource: sc.ID, Score: sc.Score}
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
-	svc := s.service(w)
-	if svc == nil {
-		return
-	}
-	q := r.URL.Query()
-	if !s.checkMapHash(w, q.Get("maphash")) {
-		return
-	}
-	ts := q.Get("tags")
-	if ts == "" {
-		writeError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
-		return
-	}
-	parts := strings.Split(ts, ",")
-	ids := make([]incentivetag.Tag, 0, len(parts))
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		id, err := strconv.Atoi(part)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "tag %q is not an integer id", part)
-			return
-		}
-		ids = append(ids, incentivetag.Tag(id))
-	}
-	query, err := incentivetag.NewPost(ids...)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	k, ok := parseK(w, q)
-	if !ok {
-		return
-	}
-	scored, epoch, err := svc.SearchOwned(query, k)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := SearchResponse{Tags: make([]int32, len(query)), Epoch: epoch, Top: make([]TopKEntry, len(scored))}
-	for i, t := range query {
-		out.Tags[i] = int32(t)
-	}
-	for i, sc := range scored {
-		out.Top[i] = TopKEntry{Resource: sc.ID, Score: sc.Score}
-	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

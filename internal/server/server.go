@@ -40,7 +40,9 @@
 // GET /metrics/prom exposes the whole story — per-route outcome
 // counters, log-bucketed latency histograms with p50/p90/p99, queue
 // depth and in-flight gauges — in Prometheus text format with no
-// external dependencies.
+// external dependencies. All of that machinery lives in Front, which
+// the cluster gateway embeds too, so both daemons gate, drain, decode
+// and expose metrics the same way.
 //
 // The server tracks the incentive budget: /allocate reserves the
 // task's reward-unit cost when the lease is handed out (so concurrent
@@ -51,15 +53,9 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,10 +64,6 @@ import (
 	incentivetag "incentivetag"
 	"incentivetag/internal/admit"
 )
-
-// DefaultMaxBody bounds request bodies when Config.MaxBodyBytes is 0;
-// a batch of a few thousand posts fits comfortably.
-const DefaultMaxBody = 8 << 20
 
 // Config assembles a Server.
 type Config struct {
@@ -114,68 +106,15 @@ type Config struct {
 	// silently vanish from every scatter-gather ranking. Empty means the
 	// node is standalone and /cluster/* endpoints answer 409.
 	ShardMapHash string
-
-	// ReadTimeout, WriteTimeout and IdleTimeout bound each connection's
-	// full-request read, response write and keep-alive idle time, so a
-	// slow-reading (or slow-sending) client can never pin a handler
-	// goroutine forever. 0 selects the defaults (DefaultReadTimeout,
-	// DefaultWriteTimeout, DefaultIdleTimeout); a negative value
-	// disables that bound entirely.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
-}
-
-// Default connection timeouts: generous enough for a slow crowd-worker
-// client on a bad link, tight enough that an abandoned connection frees
-// its goroutine within the minute.
-const (
-	DefaultReadTimeout  = 30 * time.Second
-	DefaultWriteTimeout = 30 * time.Second
-	DefaultIdleTimeout  = 2 * time.Minute
-)
-
-// timeoutOr resolves one configured timeout: 0 → def, negative → 0
-// (net/http's "no timeout").
-func timeoutOr(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// httpServer builds the net/http server with every slow-client bound
-// applied; addr may be empty (Serve path).
-func (s *Server) httpServer(addr string) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       timeoutOr(s.cfg.ReadTimeout, DefaultReadTimeout),
-		WriteTimeout:      timeoutOr(s.cfg.WriteTimeout, DefaultWriteTimeout),
-		IdleTimeout:       timeoutOr(s.cfg.IdleTimeout, DefaultIdleTimeout),
-	}
 }
 
 // Server is the HTTP front-end. Create with New (service ready up
 // front) or NewDeferred + Install (serve /healthz while recovery runs);
-// serve either through Handler (e.g. httptest) or
-// ListenAndServe/Shutdown.
+// serve through the embedded Front's Handler (e.g. httptest) or
+// Serve/Shutdown.
 type Server struct {
+	*Front
 	cfg Config
-	mux *http.ServeMux
-
-	// Admission state: the gate every serving route passes through, the
-	// per-route instrumentation behind /metrics/prom, the drain flag that
-	// Shutdown raises before waiting, and the resolved body cap.
-	ctl          *admit.Controller
-	insts        []*routeInst
-	draining     atomic.Bool
-	bodyTooLarge atomic.Uint64
-	maxBody      int64
 
 	// svc is the installed service; nil until Install (or New, which
 	// installs immediately). Handlers load it atomically: a nil load is
@@ -190,9 +129,6 @@ type Server struct {
 	budgetMu sync.Mutex
 	spent    int
 	reserved int
-
-	mu sync.Mutex
-	hs *http.Server
 }
 
 // New validates the configuration and builds the route table with the
@@ -221,40 +157,36 @@ func NewDeferred(cfg Config) (*Server, error) {
 	if cfg.Budget < 0 {
 		return nil, fmt.Errorf("server: negative budget %d", cfg.Budget)
 	}
-	if cfg.MaxBodyBytes < 0 {
-		return nil, fmt.Errorf("server: negative max body bytes %d", cfg.MaxBodyBytes)
+	f, err := NewFront("tagserved", "", cfg.Admission, cfg.MaxBodyBytes)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	if cfg.Service != nil {
 		return nil, fmt.Errorf("server: NewDeferred with a Service; use New")
 	}
-	s.ctl = admit.NewController(cfg.Admission)
-	s.maxBody = cfg.MaxBodyBytes
-	if s.maxBody == 0 {
-		s.maxBody = DefaultMaxBody
-	}
+	s := &Server{Front: f, cfg: cfg}
 	// Serving routes pass through the admission gate: ingest is the
 	// crowd's bulk class (shed first), the operator loop and queries are
 	// interactive (bounded wait, shed last). Ops endpoints — health,
 	// metrics, info, admin — bypass admission: they must answer precisely
 	// when the server is overloaded.
-	s.mux.HandleFunc("POST /ingest", s.instrument("/ingest", admit.Bulk, s.handleIngest))
-	s.mux.HandleFunc("POST /allocate", s.instrument("/allocate", admit.Interactive, s.handleAllocate))
-	s.mux.HandleFunc("POST /complete", s.instrument("/complete", admit.Interactive, s.handleComplete))
-	s.mux.HandleFunc("POST /expire", s.instrument("/expire", admit.Interactive, s.handleExpire))
-	s.mux.HandleFunc("POST /admin/snapshot", s.handleAdminSnapshot)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics/prom", s.handlePromMetrics)
-	s.mux.HandleFunc("GET /topk", s.instrument("/topk", admit.Interactive, s.handleTopK))
-	s.mux.HandleFunc("GET /search", s.instrument("/search", admit.Interactive, s.handleSearch))
-	s.mux.HandleFunc("GET /info", s.handleInfo)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.HandleAdmitted("POST /ingest", admit.Bulk, s.handleIngest)
+	s.HandleAdmitted("POST /allocate", admit.Interactive, s.handleAllocate)
+	s.HandleAdmitted("POST /complete", admit.Interactive, s.handleComplete)
+	s.HandleAdmitted("POST /expire", admit.Interactive, s.handleExpire)
+	s.Handle("POST /admin/snapshot", s.handleAdminSnapshot)
+	s.Handle("GET /metrics", s.handleMetrics)
+	s.Handle("GET /metrics/prom", s.handlePromMetrics)
+	s.HandleAdmitted("GET /topk", admit.Interactive, s.handleTopK)
+	s.HandleAdmitted("GET /search", admit.Interactive, s.search(false))
+	s.Handle("GET /info", s.handleInfo)
+	s.Handle("GET /healthz", s.handleHealthz)
 	// Cluster scatter-gather endpoints (only useful on cluster members;
 	// guarded by the shard-map hash check). Interactive class: they are
 	// the gateway-side query path's building blocks.
-	s.mux.HandleFunc("GET /cluster/rfd", s.instrument("/cluster/rfd", admit.Interactive, s.handleClusterRFD))
-	s.mux.HandleFunc("POST /cluster/topk", s.instrument("/cluster/topk", admit.Interactive, s.handleClusterTopK))
-	s.mux.HandleFunc("GET /cluster/search", s.instrument("/cluster/search", admit.Interactive, s.handleClusterSearch))
+	s.HandleAdmitted("GET /cluster/rfd", admit.Interactive, s.handleClusterRFD)
+	s.HandleAdmitted("POST /cluster/topk", admit.Interactive, s.handleClusterTopK)
+	s.HandleAdmitted("GET /cluster/search", admit.Interactive, s.search(true))
 	return s, nil
 }
 
@@ -282,77 +214,13 @@ func (s *Server) Install(svc *incentivetag.Service, tagUniverse int) error {
 func (s *Server) service(w http.ResponseWriter) *incentivetag.Service {
 	svc := s.svc.Load()
 	if svc == nil {
-		writeError(w, http.StatusServiceUnavailable, "service recovering; poll /healthz")
+		WriteError(w, http.StatusServiceUnavailable, "service recovering; poll /healthz")
 	}
 	return svc
 }
 
 // Ready reports whether the service has been installed.
 func (s *Server) Ready() bool { return s.svc.Load() != nil }
-
-// Handler returns the route table as an http.Handler, wrapped in the
-// drain gate: once Shutdown begins, every request except /healthz gets
-// an immediate 503 — no new work starts while in-flight requests
-// finish, and a probe can still see the draining state.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() && r.URL.Path != "/healthz" {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "server draining")
-			return
-		}
-		s.mux.ServeHTTP(w, r)
-	})
-}
-
-// ListenAndServe serves on addr until Shutdown (which returns
-// http.ErrServerClosed here) or a listener error.
-func (s *Server) ListenAndServe(addr string) error {
-	s.mu.Lock()
-	if s.hs != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("server: already serving")
-	}
-	hs := s.httpServer(addr)
-	s.hs = hs
-	s.mu.Unlock()
-	return hs.ListenAndServe()
-}
-
-// Serve is ListenAndServe over an existing listener (lets callers bind
-// port 0 and learn the address before serving).
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.hs != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("server: already serving")
-	}
-	hs := s.httpServer("")
-	s.hs = hs
-	s.mu.Unlock()
-	return hs.Serve(l)
-}
-
-// Shutdown gracefully stops the HTTP server: the drain gate closes
-// FIRST (new requests on still-open keep-alive connections get a fast
-// 503 instead of starting work that races the WAL close), then
-// in-flight requests finish (bounded by ctx) and new connections are
-// refused. The Service itself is not closed — the owner closes it after
-// Shutdown returns, which is what makes the WAL flush strictly after
-// the last request's write.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.mu.Lock()
-	hs := s.hs
-	s.mu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
-}
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // AllocatedSpent returns the reward units consumed by fulfilled tasks.
 func (s *Server) AllocatedSpent() int {
@@ -518,37 +386,6 @@ type ErrorResponse struct {
 
 // --- handlers ------------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// readJSON decodes the request body strictly (unknown fields rejected —
-// they are almost always a client schema bug worth failing loudly on).
-// Bodies over the configured cap get a distinct 413 so clients can tell
-// "split your batch" apart from "fix your schema".
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.bodyTooLarge.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes; split the batch", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
 // post builds a validated tags.Post from wire tag ids.
 func post(ts []int32) (incentivetag.Post, error) {
 	ids := make([]incentivetag.Tag, len(ts))
@@ -564,30 +401,30 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req) {
 		return
 	}
 	single := len(req.Tags) > 0
 	if single == (len(req.Events) > 0) {
-		writeError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
+		WriteError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
 		return
 	}
 	if single {
 		p, err := post(req.Tags)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if !svc.OwnsResource(req.Resource) {
 			// A post accepted off-owner would be invisible to every
 			// scatter-gather query (nodes score only owned resources), so a
 			// misrouted ingest is refused loudly rather than lost silently.
-			writeError(w, http.StatusMisdirectedRequest,
+			WriteError(w, http.StatusMisdirectedRequest,
 				"resource %d is not owned by this node; route via the gateway", req.Resource)
 			return
 		}
 		if err := s.ingest(w, func() error { return svc.Ingest(req.Resource, p) }); err == nil {
-			writeJSON(w, http.StatusOK, IngestResponse{Ingested: 1})
+			WriteJSON(w, http.StatusOK, IngestResponse{Ingested: 1})
 		}
 		return
 	}
@@ -595,18 +432,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for k, ev := range req.Events {
 		p, err := post(ev.Tags)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "event %d: %v", k, err)
+			WriteError(w, http.StatusBadRequest, "event %d: %v", k, err)
 			return
 		}
 		if !svc.OwnsResource(ev.Resource) {
-			writeError(w, http.StatusMisdirectedRequest,
+			WriteError(w, http.StatusMisdirectedRequest,
 				"event %d: resource %d is not owned by this node; route via the gateway", k, ev.Resource)
 			return
 		}
 		events[k] = incentivetag.PostEvent{Resource: ev.Resource, Post: p}
 	}
 	if err := s.ingest(w, func() error { return svc.IngestMany(events) }); err == nil {
-		writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(events)})
+		WriteJSON(w, http.StatusOK, IngestResponse{Ingested: len(events)})
 	}
 }
 
@@ -624,7 +461,7 @@ func (s *Server) ingest(w http.ResponseWriter, fn func() error) error {
 	if strings.Contains(msg, "out of range") || strings.Contains(msg, "empty post") {
 		status = http.StatusBadRequest
 	}
-	writeError(w, status, "%s", msg)
+	WriteError(w, status, "%s", msg)
 	return err
 }
 
@@ -634,7 +471,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AllocateRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req) {
 		return
 	}
 	// Check, lease and reserve in one critical section: the budget can
@@ -649,19 +486,19 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	if remaining <= 0 {
 		s.budgetMu.Unlock()
-		writeJSON(w, http.StatusOK, AllocateResponse{OK: false})
+		WriteJSON(w, http.StatusOK, AllocateResponse{OK: false})
 		return
 	}
 	i, lease, ok := svc.Lease(remaining)
 	if !ok {
 		s.budgetMu.Unlock()
-		writeJSON(w, http.StatusOK, AllocateResponse{OK: false})
+		WriteJSON(w, http.StatusOK, AllocateResponse{OK: false})
 		return
 	}
 	cost := svc.CostOf(i)
 	s.reserved += cost
 	s.budgetMu.Unlock()
-	writeJSON(w, http.StatusOK, AllocateResponse{
+	WriteJSON(w, http.StatusOK, AllocateResponse{
 		OK:       true,
 		Resource: i,
 		Lease:    uint64(lease),
@@ -689,12 +526,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompleteRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req) {
 		return
 	}
 	p, err := post(req.Tags)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Read the task's cost while the lease is still alive — it names the
@@ -708,7 +545,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "lease") {
 			// Unknown or already settled: a client protocol error; the
 			// reservation (if any) belongs to whoever settles it.
-			writeError(w, http.StatusConflict, "%v", err)
+			WriteError(w, http.StatusConflict, "%v", err)
 			return
 		}
 		// The lease settled but the ingest failed (ours, e.g. a WAL write
@@ -716,14 +553,14 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		s.budgetMu.Lock()
 		s.reserved -= cost
 		s.budgetMu.Unlock()
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.budgetMu.Lock()
 	s.reserved -= cost
 	s.spent += cost
 	s.budgetMu.Unlock()
-	writeJSON(w, http.StatusOK, OKResponse{OK: true})
+	WriteJSON(w, http.StatusOK, OKResponse{OK: true})
 }
 
 func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
@@ -732,7 +569,7 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExpireRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req) {
 		return
 	}
 	// As in /complete: capture the cost while the lease is alive, and
@@ -742,13 +579,13 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 		cost = svc.CostOf(i)
 	}
 	if err := svc.Expire(incentivetag.LeaseID(req.Lease)); err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	s.budgetMu.Lock()
 	s.reserved -= cost
 	s.budgetMu.Unlock()
-	writeJSON(w, http.StatusOK, OKResponse{OK: true})
+	WriteJSON(w, http.StatusOK, OKResponse{OK: true})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -766,7 +603,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		rem = s.remainingBudgetLocked()
 	}
 	s.budgetMu.Unlock()
-	writeJSON(w, http.StatusOK, MetricsResponse{
+	WriteJSON(w, http.StatusOK, MetricsResponse{
 		Epoch:             svc.QueryStats().Epoch,
 		Posts:             m.Posts,
 		Spent:             m.Spent,
@@ -791,30 +628,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxK caps k on every query route, cluster legs included: k sizes the
-// result, so an unbounded one lets a single request exhaust memory.
-const maxK = 1000
-
-// checkK answers 400 and returns false unless k is in [1,maxK].
-func checkK(w http.ResponseWriter, k int) bool {
-	if k <= 0 || k > maxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1,%d]", maxK)
-		return false
-	}
-	return true
-}
-
-// parseK reads the optional k parameter (default 10, bounded [1,maxK]);
-// ok=false means the error response was already written.
-func parseK(w http.ResponseWriter, q url.Values) (int, bool) {
-	k := 10
-	if ks := q.Get("k"); ks != "" {
-		var err error
-		if k, err = strconv.Atoi(ks); err != nil {
-			k = 0 // rejected below with the range message
+// handlePromMetrics is GET /metrics/prom: the front's shared families
+// plus memory-tiering residency. Residency counters are partition-clean
+// (cluster scrapes sum them across nodes); the rehydrate p99 is per
+// node. They are emitted only once the service is installed: scraping a
+// recovering node must not report a phantom all-cold corpus.
+func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
+	s.ServeProm(w, func(p *Prom) {
+		svc := s.svc.Load()
+		if svc == nil {
+			return
 		}
-	}
-	return k, checkK(w, k)
+		tier := svc.Residency()
+		p.Metric("resident_resources", "gauge", "Resources currently hot (tracker and vector on the heap).", tier.Resident)
+		p.Metric("cold_resources", "gauge", "Resources currently frozen to compact records.", tier.Cold)
+		p.Metric("evictions_total", "counter", "Hot-to-cold transitions since boot.", tier.Evictions)
+		p.Metric("rehydrations_total", "counter", "Cold-to-hot transitions since boot.", tier.Rehydrations)
+		p.Metric("resident_bytes", "gauge", "Estimated heap held by hot resources.", tier.ResidentBytes)
+		p.Metric("rehydrate_p99_seconds", "gauge", "Upper-bound p99 of cold-to-hot rehydration latency.", tier.RehydrateP99)
+	})
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -823,24 +655,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	rs := q.Get("resource")
-	if rs == "" {
-		writeError(w, http.StatusBadRequest, "missing resource parameter")
-		return
-	}
-	subject, err := strconv.Atoi(rs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
+	subject, ok := ParseResource(w, q)
+	if !ok {
 		return
 	}
 	if n := svc.N(); n == 0 {
-		writeError(w, http.StatusBadRequest, "corpus is empty: no resources to query")
+		WriteError(w, http.StatusBadRequest, "corpus is empty: no resources to query")
 		return
 	} else if subject < 0 || subject >= n {
-		writeError(w, http.StatusBadRequest, "resource %d out of range [0,%d)", subject, n)
+		WriteError(w, http.StatusBadRequest, "resource %d out of range [0,%d)", subject, n)
 		return
 	}
-	k, ok := parseK(w, q)
+	k, ok := ParseK(w, q)
 	if !ok {
 		return
 	}
@@ -848,60 +674,55 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// epoch-versioned consistent read — no snapshot clone, no rebuild.
 	scored, epoch, err := svc.TopK(subject, k)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	out := TopKResponse{Resource: subject, Epoch: epoch, Top: make([]TopKEntry, len(scored))}
 	for i, sc := range scored {
 		out.Top[i] = TopKEntry{Resource: sc.ID, Score: sc.Score}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	svc := s.service(w)
-	if svc == nil {
-		return
-	}
-	q := r.URL.Query()
-	ts := q.Get("tags")
-	if ts == "" {
-		writeError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
-		return
-	}
-	parts := strings.Split(ts, ",")
-	ids := make([]incentivetag.Tag, 0, len(parts))
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		id, err := strconv.Atoi(part)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "tag %q is not an integer id", part)
+// search serves GET /search and, with cluster set, GET /cluster/search:
+// the same query, except that a cluster leg must carry the node's
+// shard-map hash and ranks only the resources this node owns.
+func (s *Server) search(cluster bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		svc := s.service(w)
+		if svc == nil {
 			return
 		}
-		ids = append(ids, incentivetag.Tag(id))
+		q := r.URL.Query()
+		if cluster && !s.checkMapHash(w, q.Get("maphash")) {
+			return
+		}
+		query, ok := parseTags(w, q)
+		if !ok {
+			return
+		}
+		k, ok := ParseK(w, q)
+		if !ok {
+			return
+		}
+		run := svc.Search
+		if cluster {
+			run = svc.SearchOwned
+		}
+		scored, epoch, err := run(query, k)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		out := SearchResponse{Tags: make([]int32, len(query)), Epoch: epoch, Top: make([]TopKEntry, len(scored))}
+		for i, t := range query {
+			out.Tags[i] = int32(t)
+		}
+		for i, sc := range scored {
+			out.Top[i] = TopKEntry{Resource: sc.ID, Score: sc.Score}
+		}
+		WriteJSON(w, http.StatusOK, out)
 	}
-	query, err := incentivetag.NewPost(ids...)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	k, ok := parseK(w, q)
-	if !ok {
-		return
-	}
-	scored, epoch, err := svc.Search(query, k)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := SearchResponse{Tags: make([]int32, len(query)), Epoch: epoch, Top: make([]TopKEntry, len(scored))}
-	for i, t := range query {
-		out.Tags[i] = int32(t)
-	}
-	for i, sc := range scored {
-		out.Top[i] = TopKEntry{Resource: sc.ID, Score: sc.Score}
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -909,7 +730,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	if svc == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, InfoResponse{
+	WriteJSON(w, http.StatusOK, InfoResponse{
 		N:           svc.N(),
 		TagUniverse: s.cfg.TagUniverse,
 		Strategy:    s.cfg.Strategy,
@@ -926,20 +747,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// restart scripts and load generators wait on. Three 503 states,
 	// each with its reason: recovering, draining, overloaded.
 	if s.svc.Load() == nil {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Ready: false, Reason: "recovering"})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Ready: false, Reason: "recovering"})
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Ready: true, Reason: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Ready: true, Reason: "draining"})
 		return
 	}
 	if s.ctl.Saturated() {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{
 			Ready: true, Overloaded: true, Reason: "interactive queue saturated",
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Ready: true})
+	WriteJSON(w, http.StatusOK, HealthResponse{Ready: true})
 }
 
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -960,8 +781,8 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// No WAL configured (or the snapshot write failed): an operator
 		// mistake or an I/O fault, not a client schema problem.
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
