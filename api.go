@@ -664,15 +664,16 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	// replayed), so a post-crash server answers queries identically to
 	// the one that crashed — then attach the delta subscriber before any
 	// traffic can flow. This one-time seed is the only corpus scan the
-	// query path ever performs. A tiered service seeds frozen: each
-	// resource's support streams straight from the engine (live vector or
-	// frozen record, residency unchanged) into a compressed forward
-	// vector, so a cold mmap boot never materializes the corpus just to
-	// answer queries — subjects thaw as traffic touches them.
+	// query path ever performs. Each resource's support streams straight
+	// from the engine (live vector or frozen record, residency unchanged),
+	// so the seed never clones the engine's count vectors. A tiered
+	// service seeds frozen, into compressed forward vectors, so a cold
+	// mmap boot never materializes the corpus just to answer queries —
+	// subjects thaw as traffic touches them.
 	if tiered {
-		s.idx = ir.NewOnlineIndexFrozen(eng.N(), eng.Shards(), data.TagUniverse, eng.ForEachEntry)
+		s.idx = ir.NewOnlineIndexFrozen(eng.N(), eng.Shards(), eng.ForEachEntry)
 	} else {
-		s.idx = ir.NewOnlineIndex(eng.SnapshotRFDs(), eng.Shards())
+		s.idx = ir.NewOnlineIndexStreamed(eng.N(), eng.Shards(), eng.ForEachEntry)
 	}
 	eng.Subscribe(s.idx)
 	s.cache = newResultCache(0)
@@ -902,11 +903,6 @@ type QueryStats = ir.OnlineStats
 // value admits everything. Limits are per process — a fleet behind a
 // load balancer multiplies them by the replica count.
 type AdmissionConfig = admit.Config
-
-// AdmissionStats is the admission controller's census: per-class
-// outcome counters (admitted/shed/timed-out) plus the live in-flight
-// and queue-depth gauges, as also exported via GET /metrics/prom.
-type AdmissionStats = admit.Stats
 
 // TopK answers the top-k similar-resource query (§V-C.1) from the live
 // online index: no snapshot clone, no index rebuild — the posting lists

@@ -383,7 +383,7 @@ func runQueryBenchmarks(data *sim.Data, batch int) QueryReport {
 	const k = 10
 	rep := QueryReport{K: k}
 	eng, _ := ingestEngine(data, engine.DefaultShards, true, "")
-	idx := ir.NewOnlineIndex(eng.SnapshotRFDs(), eng.Shards())
+	idx := ir.NewOnlineIndexStreamed(eng.N(), eng.Shards(), eng.ForEachEntry)
 	eng.Subscribe(idx)
 	events := benchkit.FutureEvents(data)
 	if err := benchkit.RunIngest(eng, benchkit.Partition(events, 4), batch); err != nil {

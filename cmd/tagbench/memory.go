@@ -337,7 +337,7 @@ func runMemoryBenchmark(sc benchkit.Scenario, batch int) MemoryReport {
 	// every forward vector frozen (each query decodes and promotes its
 	// subject) versus the same sweep all-resident.
 	idxEng, _ := ingestEngine(data, engine.DefaultShards, true, "")
-	idx := ir.NewOnlineIndex(idxEng.SnapshotRFDs(), idxEng.Shards())
+	idx := ir.NewOnlineIndexStreamed(idxEng.N(), idxEng.Shards(), idxEng.ForEachEntry)
 	idxEng.Subscribe(idx)
 	if err := benchkit.RunIngest(idxEng, benchkit.Partition(events, 1), batch); err != nil {
 		fail("memory cold query: %v", err)

@@ -79,20 +79,38 @@ func (e *statusError) Error() string {
 // either a transport error (node marked down reactively — the prober
 // re-admits it) or a *statusError carrying the node's own status code.
 func (b *backend) do(ctx context.Context, method, path string, in, out any) error {
-	b.requests.Add(1)
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("encoding %s body: %w", path, err)
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, b.url+path, body)
+	body, err := encodeBody(path, in)
 	if err != nil {
 		return err
 	}
-	if in != nil {
+	return b.send(ctx, method, path, body, out)
+}
+
+// encodeBody marshals a request body; nil stays nil (no body).
+func encodeBody(path string, in any) ([]byte, error) {
+	if in == nil {
+		return nil, nil
+	}
+	buf, err := json.Marshal(in)
+	if err != nil {
+		return nil, fmt.Errorf("encoding %s body: %w", path, err)
+	}
+	return buf, nil
+}
+
+// send is do with the body already encoded (nil for none), so a scatter
+// marshals its body once and hands every leg the same bytes.
+func (b *backend) send(ctx context.Context, method, path string, body []byte, out any) error {
+	b.requests.Add(1)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, b.url+path, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	start := time.Now()

@@ -30,9 +30,27 @@ type Config struct {
 	// ProbeInterval is the per-backend /healthz cadence
 	// (0 = DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// Transport overrides the backend HTTP transport (tests).
+	// Transport overrides the backend HTTP transport (tests); nil selects
+	// the gateway's shared keep-alive pool.
 	Transport http.RoundTripper
 }
+
+// backendIdlePerHost is how many idle keep-alive connections the
+// gateway keeps to each node: enough for every leg of a burst of
+// concurrent queries to find one waiting.
+const backendIdlePerHost = 64
+
+// backendTransport is the gateway's connection pool to its nodes unless
+// Config.Transport overrides it. http.DefaultTransport keeps only 2 idle
+// connections per host, so under concurrent queries most scatter legs
+// would dial a fresh connection and then drop it. The total idle cap
+// is lifted; the per-host cap bounds it.
+var backendTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0
+	t.MaxIdleConnsPerHost = backendIdlePerHost
+	return t
+}()
 
 // Gateway is the cluster front-end: it owns the ring, the per-backend
 // clients and the health prober, and serves the same public surface as
@@ -79,7 +97,11 @@ func New(cfg Config) (*Gateway, error) {
 	if g.probeInterval <= 0 {
 		g.probeInterval = DefaultProbeInterval
 	}
-	client := &http.Client{Transport: cfg.Transport, Timeout: 30 * time.Second}
+	rt := cfg.Transport
+	if rt == nil {
+		rt = backendTransport
+	}
+	client := &http.Client{Transport: rt, Timeout: 30 * time.Second}
 	for i, n := range cfg.Map.Nodes {
 		g.backends = append(g.backends, newBackend(i, n, client))
 	}
@@ -259,8 +281,13 @@ type leg[T any] struct {
 
 // scatter sends one request to every backend in up concurrently and
 // returns the answers of the legs that succeeded, in up's order, plus
-// the first node status error among the legs that failed.
+// the first node status error among the legs that failed. The body is
+// marshalled once and every leg sends the same bytes.
 func scatter[T any](ctx context.Context, up []*backend, method, path string, in any) ([]leg[T], *statusError) {
+	body, err := encodeBody(path, in)
+	if err != nil {
+		return nil, nil // no leg could have been sent
+	}
 	legs := make([]leg[T], len(up))
 	errs := make([]error, len(up))
 	var wg sync.WaitGroup
@@ -269,7 +296,7 @@ func scatter[T any](ctx context.Context, up []*backend, method, path string, in 
 		go func() {
 			defer wg.Done()
 			legs[i].name = b.name
-			errs[i] = b.do(ctx, method, path, in, &legs[i].resp)
+			errs[i] = b.send(ctx, method, path, body, &legs[i].resp)
 		}()
 	}
 	wg.Wait()

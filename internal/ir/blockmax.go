@@ -158,24 +158,18 @@ func (r *dirRow) ratchet(imp float64) {
 func (r *dirRow) maxImpact() float64 { return math.Float64frombits(r.maxBits.Load()) }
 
 // bmList is one tag's shard-local posting list: entries sorted by count
-// descending (ties in arrival order), an id→slot lookup for O(1) bumps,
-// a count→run-head lookup that makes the sorted order maintainable in
-// O(1) per +1 bump, and the block/list impact ratchets. Field order
+// descending (ties in arrival order) and the block/list impact
+// ratchets. It holds no lookup maps: a bump is handed the entry's count
+// from before the bump (the forward vector has it), binary-searches the
+// head of that count's run and walks the run to the entry. Field order
 // keeps entries and maxImpact on the leading cache line: a single-block
 // list (the overwhelmingly common shape) is scanned and bounded without
 // touching the rest of the struct.
 type bmList struct {
-	entries   []bmEntry
-	maxImpact float64 // whole-list max entry impact (ratchet)
-	row       *dirRow // directory row this list belongs to (nil in unit tests)
-	shard     int32   // this list's shard index within the row
-	slot      map[int32]int32
-	// runStart maps a count value to the leftmost index of its run of
-	// equal counts. Bumping an entry swaps it with its run's head and
-	// shrinks the run by one — the only two positions whose order
-	// changes — so the count-descending invariant survives every +1 in
-	// constant time.
-	runStart    map[int32]int32
+	entries     []bmEntry
+	maxImpact   float64   // whole-list max entry impact (ratchet)
+	row         *dirRow   // directory row this list belongs to (nil in unit tests)
+	shard       int32     // this list's shard index within the row
 	blockImpact []float64 // per-block max entry impact (ratchet)
 }
 
@@ -214,12 +208,7 @@ func (pl *bmList) finalize(norm2 func(id int32) float64) {
 		return es[a].id < es[b].id
 	})
 	pl.blockImpact = make([]float64, (len(es)+blockSize-1)/blockSize)
-	for i := range es {
-		e := &es[i]
-		pl.slot[e.id] = int32(i)
-		if i == 0 || es[i-1].count != e.count {
-			pl.runStart[e.count] = int32(i)
-		}
+	for i, e := range es {
 		pl.bound(i/blockSize, impactBound(int64(e.count), norm2(e.id)))
 	}
 }
@@ -238,64 +227,67 @@ func (pl *bmList) bound(b int, imp float64) {
 }
 
 // bumpOne adds one to the resource's posting (appending on first touch)
-// while preserving the count-descending order: the entry swaps with the
-// head of its equal-count run, the run shrinks by one, and the entry
-// joins (or founds) the count+1 run. norm2After is the resource's
+// while preserving the count-descending order. c is the resource's count
+// for the tag before this bump (0 on first touch). The head of c's run
+// is found by binary search and the run is walked to the entry, which
+// swaps with the head: the run shrinks by one and the entry joins (or
+// founds) the count+1 run — the only two positions whose order changes
+// — so a bump costs O(log n + run). norm2After is the resource's
 // squared norm with the post already applied and norms is the index's
 // dense norm cache (used to re-derive the displaced run head's impact
 // bound — its current norm only shrinks its true impact, so the fresh
 // bound is valid, in fact tighter than the one it was stored under).
 // The old, now-stale block maxima remain valid upper bounds. Reports
 // whether a new entry was appended.
-func (pl *bmList) bumpOne(id int32, norm2After float64, norms []float64) (appended bool) {
-	if idx, ok := pl.slot[id]; ok {
-		c := pl.entries[idx].count
-		if c == math.MaxInt32 {
-			panic("ir: posting count outside int32 range")
+func (pl *bmList) bumpOne(id, c int32, norm2After float64, norms []float64) (appended bool) {
+	if c == 0 {
+		// First touch: a count of 1 is ≤ every live count, so appending
+		// at the tail preserves the descending order.
+		j := len(pl.entries)
+		pl.entries = append(pl.entries, bmEntry{id: id, count: 1})
+		if j%blockSize == 0 {
+			pl.blockImpact = append(pl.blockImpact, 0)
 		}
-		j := pl.runStart[c]
-		if j != idx {
-			pl.entries[idx], pl.entries[j] = pl.entries[j], pl.entries[idx]
-			pl.slot[pl.entries[idx].id] = idx
-			pl.slot[id] = j
-			// The displaced run head moved into the bumped entry's block;
-			// its impact must be covered there too.
-			if bi, bj := int(idx)/blockSize, int(j)/blockSize; bi != bj {
-				d := pl.entries[idx]
-				if imp := impactBound(int64(d.count), norms[d.id]); imp > pl.blockImpact[bi] {
-					pl.blockImpact[bi] = imp
-				}
+		pl.bound(j/blockSize, impactBound(1, norm2After))
+		pl.noteLen()
+		return true
+	}
+	if c == math.MaxInt32 {
+		panic("ir: posting count outside int32 range")
+	}
+	es := pl.entries
+	j, hi := 0, len(es)
+	for j < hi {
+		if m := int(uint(j+hi) >> 1); es[m].count > c {
+			j = m + 1
+		} else {
+			hi = m
+		}
+	}
+	idx := -1
+	for k, e := range es[j:] {
+		if e.id == id {
+			idx = j + k
+			break
+		}
+	}
+	if idx < 0 || es[idx].count != c {
+		panic("ir: posting list out of step with its forward vector")
+	}
+	if idx != j {
+		es[idx], es[j] = es[j], es[idx]
+		// The displaced run head moved into the bumped entry's block;
+		// its impact must be covered there too.
+		if bi := idx / blockSize; bi != j/blockSize {
+			d := es[idx]
+			if imp := impactBound(int64(d.count), norms[d.id]); imp > pl.blockImpact[bi] {
+				pl.blockImpact[bi] = imp
 			}
 		}
-		// Shrink (or dissolve) the old run, join the count+1 run.
-		if int(j)+1 < len(pl.entries) && pl.entries[j+1].count == c {
-			pl.runStart[c] = j + 1
-		} else {
-			delete(pl.runStart, c)
-		}
-		if _, ok := pl.runStart[c+1]; !ok {
-			pl.runStart[c+1] = j
-		}
-		e := &pl.entries[j]
-		e.count = c + 1
-		pl.bound(int(j)/blockSize, impactBound(int64(e.count), norm2After))
-		return false
 	}
-	// First touch: a count of 1 is ≤ every live count, so appending at
-	// the tail preserves the descending order.
-	j := int32(len(pl.entries))
-	imp := impactBound(1, norm2After)
-	pl.entries = append(pl.entries, bmEntry{id: id, count: 1})
-	pl.slot[id] = j
-	if _, ok := pl.runStart[1]; !ok {
-		pl.runStart[1] = j
-	}
-	if int(j)%blockSize == 0 {
-		pl.blockImpact = append(pl.blockImpact, 0)
-	}
-	pl.bound(int(j)/blockSize, imp)
-	pl.noteLen()
-	return true
+	es[j].count = c + 1
+	pl.bound(j/blockSize, impactBound(int64(c+1), norm2After))
+	return false
 }
 
 // planTag is one query tag's slice of the execution plan, built once

@@ -45,9 +45,6 @@ func BuildInverted(rfds []*sparse.Counts) *InvertedIndex {
 // N returns the number of indexed resources.
 func (ix *InvertedIndex) N() int { return len(ix.rfds) }
 
-// PostingLen returns the posting-list length of tag t (diagnostics).
-func (ix *InvertedIndex) PostingLen(t tags.Tag) int { return len(ix.postings[t]) }
-
 // TopK returns the k most similar resources to subject, identical in
 // content to Index.TopK but touching only candidates that share a tag
 // with the subject. Resources with zero overlap have cosine 0 and can

@@ -18,6 +18,7 @@
 package ir
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -86,10 +87,6 @@ type OnlineIndex struct {
 	// frozen (see residency.go).
 	norm2 []float64
 
-	// universe is the tag-universe hint thawed vectors are rebuilt with
-	// (see sparse.FromEntries); set by NewOnlineIndexFrozen, 0 otherwise.
-	universe int
-
 	// scratchPool recycles per-query state (visited set, tag plan, heap
 	// backing) so the serving read path allocates nothing but its result.
 	scratchPool sync.Pool
@@ -122,7 +119,9 @@ type onlineShard struct {
 	mu sync.RWMutex
 	// postings maps tag → the shard-local block-max posting list.
 	postings map[tags.Tag]*bmList
-	// vecs[l] is the count vector of global resource l*S + shardID; the
+	// vecs[l] is the count vector of global resource l*S + shardID, in
+	// map form (a forward vector holds a few dozen tags of a vocabulary
+	// of tens of thousands, so a dense base would be mostly zeros); the
 	// index owns these (they are mutated by Apply). A nil slot means the
 	// resource is cold: its vector lives packed in frozen[l].
 	vecs []*sparse.Counts
@@ -131,43 +130,105 @@ type onlineShard struct {
 	frozen [][]byte
 }
 
-// NewOnlineIndex seeds an online index from the given rfd snapshots,
-// taking ownership of them (pass clones, e.g. Engine.SnapshotRFDs —
-// the index mutates them on Apply). shards ≤ 0 selects 1. This is the
-// only corpus scan the index ever performs; every later change arrives
-// through Apply.
+// NewOnlineIndex seeds an online index from the given rfd snapshots.
+// The index keeps its own map-form copies, so the caller keeps
+// ownership of rfds. shards ≤ 0 selects 1. Seeding is the only corpus
+// scan the index ever performs; every later change arrives through
+// Apply.
 func NewOnlineIndex(rfds []*sparse.Counts, shards int) *OnlineIndex {
+	return NewOnlineIndexStreamed(len(rfds), shards, func(i int, fn func(t tags.Tag, c int64)) int {
+		rfds[i].ForEach(fn)
+		return rfds[i].Posts()
+	})
+}
+
+// NewOnlineIndexStreamed seeds an online index with every forward
+// vector live. each streams resource i's non-zero (tag, count) support
+// in any order and returns its post count — the shape of
+// Engine.ForEachEntry — so a server seeds its index without cloning
+// the engine's count vectors.
+func NewOnlineIndexStreamed(n, shards int, each func(i int, fn func(t tags.Tag, c int64)) int) *OnlineIndex {
+	return seedIndex(n, shards, false, each)
+}
+
+// seedIndex is the one seeding pass behind every constructor: postings,
+// the norm² cache and the forward vectors — map-form live vectors, or
+// frozen blobs when cold — are built in one streaming pass over each.
+func seedIndex(n, shards int, cold bool, each func(i int, fn func(t tags.Tag, c int64)) int) *OnlineIndex {
 	if shards <= 0 {
 		shards = 1
 	}
 	ix := &OnlineIndex{
-		n:           len(rfds),
+		n:           n,
 		shards:      make([]*onlineShard, shards),
 		dir:         make(map[tags.Tag]*dirRow),
-		norm2:       make([]float64, len(rfds)),
+		norm2:       make([]float64, n),
 		tagPostings: make(map[tags.Tag]int),
 	}
 	for s := range ix.shards {
 		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*bmList)}
 	}
-	for i, c := range rfds {
-		sh := ix.shards[i%shards]
-		sh.vecs = append(sh.vecs, c)
-		sh.frozen = append(sh.frozen, nil)
-		if c.Posts() > 0 {
-			ix.norm2[i] = c.Norm2()
-		}
-		for _, t := range c.Support() {
-			ix.posting(i%shards, t).seedAppend(int32(i), c.Get(t))
+	// trueNorm2 keeps the bound-seeding norms even for post-less
+	// resources, which the dense cache deliberately zeroes (its zero IS
+	// the "cannot score" marker the selection paths test).
+	trueNorm2 := make([]float64, n)
+	var ts []tags.Tag
+	var ns []int64
+	for i := 0; i < n; i++ {
+		ts, ns = ts[:0], ns[:0]
+		n2 := 0.0
+		posts := each(i, func(t tags.Tag, c int64) {
+			ts = append(ts, t)
+			ns = append(ns, c)
+			n2 += float64(c) * float64(c)
+		})
+		sort.Sort(&entrySorter{ts: ts, ns: ns})
+		s := i % shards
+		sh := ix.shards[s]
+		for j, t := range ts {
+			ix.posting(s, t).seedAppend(int32(i), ns[j])
 			ix.notePosting(t)
 		}
+		if cold {
+			blob := encodeFrozenVec(posts, ts, ns)
+			sh.vecs = append(sh.vecs, nil)
+			sh.frozen = append(sh.frozen, blob)
+			ix.frozenBytes.Add(int64(len(blob)))
+		} else {
+			c, err := sparse.FromEntries(0, ts, ns, posts)
+			if err != nil {
+				panic(fmt.Sprintf("ir: resource %d seed vector invalid: %v", i, err))
+			}
+			sh.vecs = append(sh.vecs, c)
+			sh.frozen = append(sh.frozen, nil)
+		}
+		trueNorm2[i] = n2
+		if posts > 0 {
+			ix.norm2[i] = n2
+		}
+	}
+	if cold {
+		ix.coldVecs.Store(int64(n))
 	}
 	for _, sh := range ix.shards {
 		for _, pl := range sh.postings {
-			pl.finalize(func(id int32) float64 { return ix.rfdLocked(id).Norm2() })
+			pl.finalize(func(id int32) float64 { return trueNorm2[id] })
 		}
 	}
 	return ix
+}
+
+// entrySorter orders parallel (tag, count) slices by ascending tag.
+type entrySorter struct {
+	ts []tags.Tag
+	ns []int64
+}
+
+func (e *entrySorter) Len() int           { return len(e.ts) }
+func (e *entrySorter) Less(a, b int) bool { return e.ts[a] < e.ts[b] }
+func (e *entrySorter) Swap(a, b int) {
+	e.ts[a], e.ts[b] = e.ts[b], e.ts[a]
+	e.ns[a], e.ns[b] = e.ns[b], e.ns[a]
 }
 
 // posting returns shard s's posting list for t, creating it — and its
@@ -178,7 +239,7 @@ func (ix *OnlineIndex) posting(s int, t tags.Tag) *bmList {
 	sh := ix.shards[s]
 	pl := sh.postings[t]
 	if pl == nil {
-		pl = &bmList{slot: make(map[int32]int32), runStart: make(map[int32]int32), shard: int32(s)}
+		pl = &bmList{shard: int32(s)}
 		ix.censusMu.Lock()
 		row := ix.dir[t]
 		if row == nil {
@@ -218,11 +279,12 @@ func (ix *OnlineIndex) locate(i int) (*onlineShard, int) {
 // Apply folds one ingested post into the index: the resource's count
 // vector absorbs the post (each tag's count-delta is +1 — a post names
 // a tag at most once) and the touched posting lists are bumped in
-// place, each bump preserving its list's count-descending block-max
-// order in O(1). Safe for concurrent use; posts for resources on
-// different shards proceed in parallel. Callers must apply each
-// resource's posts in ingest order (the engine's subscriber hook runs
-// under the shard lock, which guarantees exactly that).
+// place, each bump handed the tag's pre-post count from the vector and
+// preserving its list's count-descending block-max order in
+// O(log n + run) (see bmList.bumpOne). Safe for concurrent use; posts
+// for resources on different shards proceed in parallel. Callers must
+// apply each resource's posts in ingest order (the engine's subscriber
+// hook runs under the shard lock, which guarantees exactly that).
 func (ix *OnlineIndex) Apply(resource int, p tags.Post) {
 	if resource < 0 || resource >= ix.n || len(p) == 0 {
 		return
@@ -235,11 +297,12 @@ func (ix *OnlineIndex) Apply(resource int, p tags.Post) {
 		// live vector and the posting lists never fork.
 		ix.thawLocked(sh, l, resource)
 	}
-	sh.vecs[l].Add(p)
-	norm2 := sh.vecs[l].Norm2()
+	vec := sh.vecs[l]
+	vec.Add(p)
+	norm2 := vec.Norm2()
 	ix.norm2[resource] = norm2 // a post landed, so the resource scores
 	for _, t := range p {
-		if ix.posting(s, t).bumpOne(int32(resource), norm2, ix.norm2) {
+		if ix.posting(s, t).bumpOne(int32(resource), int32(vec.Get(t)-1), norm2, ix.norm2) {
 			ix.notePosting(t)
 		}
 	}
@@ -391,15 +454,6 @@ func (ix *OnlineIndex) TopKExhaustive(subject, k int) ([]Scored, uint64) {
 		}
 	}
 	return rankTopK(ix.n, subject, k, subjNorm, dots, ix.norm2At), epoch
-}
-
-// rfdLocked resolves a resource id to its LIVE count vector (nil when
-// the resource is cold); caller holds the read locks. Scoring paths do
-// not use this — they read the dense norm cache and, for cold deferred
-// rescues, the frozen blob.
-func (ix *OnlineIndex) rfdLocked(id int32) *sparse.Counts {
-	sh, l := ix.locate(int(id))
-	return sh.vecs[l]
 }
 
 // normalizeQuery enforces the tags.Post invariant (sorted, distinct,

@@ -34,7 +34,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 
 	"incentivetag/internal/codec"
 	"incentivetag/internal/sparse"
@@ -115,7 +114,8 @@ func frozenDeferredDot(blob []byte, id int, deferred []deferredTag) float64 {
 }
 
 // thawLocked rebuilds shard-local resource l (global id) from its
-// frozen blob. Caller holds the shard's write lock.
+// frozen blob into a map-form vector, the form every live forward
+// vector takes. Caller holds the shard's write lock.
 func (ix *OnlineIndex) thawLocked(sh *onlineShard, l, id int) {
 	blob := sh.frozen[l]
 	ts := make([]tags.Tag, 0, 16)
@@ -124,7 +124,7 @@ func (ix *OnlineIndex) thawLocked(sh *onlineShard, l, id int) {
 		ts = append(ts, t)
 		ns = append(ns, n)
 	})
-	c, err := sparse.FromEntries(ix.universe, ts, ns, posts)
+	c, err := sparse.FromEntries(0, ts, ns, posts)
 	if err != nil {
 		panic(fmt.Sprintf("ir: resource %d frozen record corrupt: %v", id, err))
 	}
@@ -194,78 +194,13 @@ func (ix *OnlineIndex) ResidentVec(id int) bool {
 }
 
 // NewOnlineIndexFrozen seeds an online index with EVERY forward vector
-// cold — the tiered cold-boot constructor. each streams resource i's
-// non-zero (tag, count) support in any order and returns its post count
-// (the shape of Engine.ForEachEntry), so a server restoring from an
-// mmap'd snapshot can seed its index without ever materializing a count
-// vector: postings, norm² cache and frozen blobs are built in one
-// streaming pass, and vectors thaw lazily as queries and posts touch
-// them. universe is the tag-universe sizing hint thawed vectors are
-// rebuilt with (sparse.FromEntries; 0 selects the map form). Queries on
-// the result are bit-identical to NewOnlineIndex over the same state.
-func NewOnlineIndexFrozen(n, shards, universe int, each func(i int, fn func(t tags.Tag, c int64)) int) *OnlineIndex {
-	if shards <= 0 {
-		shards = 1
-	}
-	ix := &OnlineIndex{
-		n:           n,
-		shards:      make([]*onlineShard, shards),
-		dir:         make(map[tags.Tag]*dirRow),
-		norm2:       make([]float64, n),
-		universe:    universe,
-		tagPostings: make(map[tags.Tag]int),
-	}
-	for s := range ix.shards {
-		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*bmList)}
-	}
-	// trueNorm2 keeps the bound-seeding norms even for post-less
-	// resources, which the dense cache deliberately zeroes (its zero IS
-	// the "cannot score" marker the selection paths test).
-	trueNorm2 := make([]float64, n)
-	var ts []tags.Tag
-	var ns []int64
-	for i := 0; i < n; i++ {
-		ts, ns = ts[:0], ns[:0]
-		n2 := 0.0
-		posts := each(i, func(t tags.Tag, c int64) {
-			ts = append(ts, t)
-			ns = append(ns, c)
-			n2 += float64(c) * float64(c)
-		})
-		sort.Sort(&entrySorter{ts: ts, ns: ns})
-		s := i % shards
-		sh := ix.shards[s]
-		for j, t := range ts {
-			ix.posting(s, t).seedAppend(int32(i), ns[j])
-			ix.notePosting(t)
-		}
-		blob := encodeFrozenVec(posts, ts, ns)
-		sh.vecs = append(sh.vecs, nil)
-		sh.frozen = append(sh.frozen, blob)
-		ix.frozenBytes.Add(int64(len(blob)))
-		trueNorm2[i] = n2
-		if posts > 0 {
-			ix.norm2[i] = n2
-		}
-	}
-	ix.coldVecs.Store(int64(n))
-	for _, sh := range ix.shards {
-		for _, pl := range sh.postings {
-			pl.finalize(func(id int32) float64 { return trueNorm2[id] })
-		}
-	}
-	return ix
-}
-
-// entrySorter orders parallel (tag, count) slices by ascending tag.
-type entrySorter struct {
-	ts []tags.Tag
-	ns []int64
-}
-
-func (e *entrySorter) Len() int           { return len(e.ts) }
-func (e *entrySorter) Less(a, b int) bool { return e.ts[a] < e.ts[b] }
-func (e *entrySorter) Swap(a, b int) {
-	e.ts[a], e.ts[b] = e.ts[b], e.ts[a]
-	e.ns[a], e.ns[b] = e.ns[b], e.ns[a]
+// cold — the tiered cold-boot constructor. each has
+// NewOnlineIndexStreamed's shape, so a server restoring from an mmap'd
+// snapshot seeds its index without ever materializing a count vector:
+// postings, norm² cache and frozen blobs are built in one streaming
+// pass, and vectors thaw lazily (into map form) as queries and posts
+// touch them. Queries on the result are bit-identical to
+// NewOnlineIndex over the same state.
+func NewOnlineIndexFrozen(n, shards int, each func(i int, fn func(t tags.Tag, c int64)) int) *OnlineIndex {
+	return seedIndex(n, shards, true, each)
 }

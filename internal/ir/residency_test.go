@@ -158,7 +158,7 @@ func TestFrozenConstructorMatchesHot(t *testing.T) {
 		}
 	}
 	hot := NewOnlineIndex(cloneAll(model), shards)
-	cold := NewOnlineIndexFrozen(n, shards, 0, func(i int, fn func(t tags.Tag, c int64)) int {
+	cold := NewOnlineIndexFrozen(n, shards, func(i int, fn func(t tags.Tag, c int64)) int {
 		model[i].ForEach(fn)
 		return model[i].Posts()
 	})
